@@ -4,7 +4,7 @@ GO ?= go
 # (BENCH_pr$(PR).json); bump it per PR so benchtrend orders them.
 PR ?= 10
 
-.PHONY: build test vet lint lint-json race crash chaos chaos-repl check bench bench-load bench-alloc bench-trend bench-gate prof-smoke
+.PHONY: build test vet lint lint-json race crash chaos chaos-repl check bench bench-load bench-alloc bench-trend bench-gate bench-meta prof-smoke
 
 ## build: compile every package and command
 build:
@@ -63,9 +63,9 @@ chaos-repl:
 	  { [ -f repl_requests.json ] && echo "chaos-repl: tail-sample ring -> repl_requests.json"; exit 1; }
 
 ## check: the pre-merge tier — vet, qatklint, the race-enabled suite, the
-## crash harness, the shard + replication chaos matrices, and the
-## benchmark regression gate
-check: vet lint race crash chaos chaos-repl bench-gate
+## crash harness, the shard + replication chaos matrices, the benchmark
+## module's meta-tests, and the benchmark regression gate
+check: vet lint race crash chaos chaos-repl bench-meta bench-gate
 
 # The full benchmark sweep shared by bench (committing a baseline) and
 # bench-gate (comparing a fresh run against one). The root-package paper
@@ -94,6 +94,20 @@ bench-gate:
 	$(BENCH_SWEEP) | $(GO) run ./cmd/benchjson -pr $(PR) -o bench_fresh.json
 	$(GO) run ./cmd/benchtrend -dir . -gate -fresh bench_fresh.json -o benchtrend-report.md
 	@rm -f bench_fresh.json
+
+## bench-meta: build and check the benchmark module. perfbench is its own
+## Go module, so `go build ./...` at the root never compiles it; this vets
+## it against the current internal APIs and runs its meta-tests (a corrupted
+## response counts as failed, every workload passes with layers that explain
+## its wall, nearest-rank percentiles), with every temporary file outside
+## the tree. TestInjectedCandidatesDelayLandsInKB stays out: its serve case
+## compares a 200us injected delay against a live round trip and is too
+## noisy for a gate.
+BENCH_META_TESTS = ^(TestCorruptedResponseCountsAsFailed|TestWorkloadsPassAndLayersExplainWall|TestPercentileIsNearestRank)$$
+bench-meta:
+	cd perfbench && $(GO) vet .
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	cd perfbench && PERFBENCH_TMP="$$tmp" $(GO) test -count 1 -run '$(BENCH_META_TESTS)' .
 
 ## bench-load: closed-loop load against a 4-shard in-process server with
 ## one artificially slow shard and two WAL-shipped read replicas ->

@@ -218,20 +218,27 @@ func run(o options) error {
 		Logger: logger, Metrics: metrics, Tracer: tracer, Flight: recorder,
 		Requests: reqLog, Exemplars: o.exemplars,
 	}
-	if internal, public, err := buildComparison(o.data, db); err != nil {
+	// The knowledge base is loaded from the database once, into memory;
+	// the comparison screen and the live /api/recommend tier both rank
+	// over it. An untrained database disables both.
+	store, kbErr := kb.OpenDB(db)
+	if kbErr != nil {
+		kbErr = fmt.Errorf("knowledge base not trained yet: %w", kbErr)
+	}
+	if internal, public, err := buildComparison(o.data, db, store, kbErr); err != nil {
 		fmt.Fprintf(os.Stderr, "comparison screen disabled: %v\n", err)
 		cfg.ComparisonNote = err.Error()
 	} else {
 		cfg.Internal, cfg.Public = internal, public
 	}
 
-	// The live /api/recommend fan-out tier: the persisted knowledge base is
+	// The live /api/recommend fan-out tier: the loaded knowledge base is
 	// partitioned by part ID into -shards in-process workers behind the
 	// hedging/breaker router. An untrained knowledge base disables the tier
 	// (the batch-persisted suggestion screens still work) rather than
 	// failing startup.
-	if store, err := kb.OpenDB(db); err != nil {
-		fmt.Fprintf(os.Stderr, "sharded serving disabled: %v\n", err)
+	if kbErr != nil {
+		fmt.Fprintf(os.Stderr, "sharded serving disabled: %v\n", kbErr)
 	} else {
 		// -replicas N stands up N in-memory read replicas tailing the
 		// serving database's WAL over an in-process link: snapshot
@@ -344,15 +351,15 @@ func run(o options) error {
 var errNoComplaints = errors.New("no ODI complaints imported")
 
 // buildComparison classifies the imported ODI complaints through the
-// persisted knowledge base and prepares both distributions (§5.4).
-func buildComparison(data string, db *reldb.DB) (*compare.Distribution, *compare.Distribution, error) {
+// loaded knowledge base (kbErr when it could not be loaded) and prepares
+// both distributions (§5.4).
+func buildComparison(data string, db *reldb.DB, store *kb.Memory, kbErr error) (*compare.Distribution, *compare.Distribution, error) {
 	tax, err := taxonomy.LoadFile(filepath.Join(data, "taxonomy.xml"))
 	if err != nil {
 		return nil, nil, err
 	}
-	store, err := kb.OpenDB(db)
-	if err != nil {
-		return nil, nil, fmt.Errorf("knowledge base not trained yet: %w", err)
+	if kbErr != nil {
+		return nil, nil, kbErr
 	}
 	complaints, err := nhtsa.LoadAll(db)
 	if err != nil {

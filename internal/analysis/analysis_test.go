@@ -294,6 +294,36 @@ func TestHotAllocGate(t *testing.T) {
 	}
 }
 
+// TestHotAllocResolvesCompilerPositions: the compiler prints escape
+// positions relative to the directory the build ran in; they resolve to
+// the fileset's absolute filenames, and a build whose escapes resolve to
+// no file of the package is an error rather than a silent pass.
+func TestHotAllocResolvesCompilerPositions(t *testing.T) {
+	dir := filepath.Join(string(filepath.Separator), "mod", "pkg")
+	for line, want := range map[string]string{
+		"./hot.go:12:9: make([]int, n) escapes to heap":          filepath.Join(dir, "hot.go"),
+		"../other/x.go:3:1: moved to heap: v":                    filepath.Join(dir, "..", "other", "x.go"),
+		filepath.Join(dir, "abs.go") + ":7:2: p escapes to heap": filepath.Join(dir, "abs.go"),
+	} {
+		d, ok := parseEscapeLine(dir, line)
+		if !ok || d.file != want {
+			t.Errorf("parseEscapeLine(%q) = %+v, %v; want file %s", line, d, ok, want)
+		}
+	}
+	files := map[string]bool{filepath.Join(dir, "hot.go"): true}
+	hit := escapeDiag{file: filepath.Join(dir, "hot.go"), line: 12}
+	miss := escapeDiag{file: "hot.go", line: 12}
+	if err := checkResolved([]escapeDiag{miss, hit}, files, "mod/pkg"); err != nil {
+		t.Errorf("resolvable escapes rejected: %v", err)
+	}
+	if err := checkResolved(nil, files, "mod/pkg"); err != nil {
+		t.Errorf("a package without escapes rejected: %v", err)
+	}
+	if err := checkResolved([]escapeDiag{miss}, files, "mod/pkg"); err == nil {
+		t.Error("escapes resolving to no file of the package passed")
+	}
+}
+
 // TestWriteJSONRoundTrip checks the machine-readable output: parseable
 // JSON, keyed by "file:line", round-tripping every field.
 func TestWriteJSONRoundTrip(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 )
@@ -72,6 +73,13 @@ func runHotAlloc(pass *Pass) error {
 	if err != nil {
 		return fmt.Errorf("analysis: hotalloc: %w", err)
 	}
+	files := map[string]bool{}
+	for _, f := range pass.Files {
+		files[pass.Fset.Position(f.Pos()).Filename] = true
+	}
+	if err := checkResolved(diags, files, importPath); err != nil {
+		return err
+	}
 	for _, d := range diags {
 		fn := containingHotFunc(hot, d.file, d.line)
 		if fn == nil {
@@ -86,6 +94,23 @@ func runHotAlloc(pass *Pass) error {
 			"%s in hot-path function %s (//qatk:hotpath); restructure to stay on the stack or acknowledge with //qatk:allowalloc <reason>", d.msg, fn.name)
 	}
 	return nil
+}
+
+// checkResolved fails when the compiler printed escapes for the package
+// but none of their positions names one of its files: the position
+// format drifted, and matching nothing would pass every hot path
+// unchecked.
+func checkResolved(diags []escapeDiag, files map[string]bool, importPath string) error {
+	for _, d := range diags {
+		if files[d.file] {
+			return nil
+		}
+	}
+	if len(diags) == 0 {
+		return nil
+	}
+	return fmt.Errorf("analysis: hotalloc: none of the %d escape positions the compiler printed for %s (first %s:%d) resolves to a file of the package",
+		len(diags), importPath, diags[0].file, diags[0].line)
 }
 
 // collectHotFuncs finds //qatk:hotpath annotated declarations.
@@ -151,7 +176,7 @@ func passPackageDir(pass *Pass) (dir, importPath string) {
 
 // escapeDiag is one parsed compiler escape diagnostic.
 type escapeDiag struct {
-	file string // absolute
+	file string // absolute and clean
 	line int
 	col  int
 	msg  string
@@ -194,9 +219,11 @@ func escapeDiagnostics(dir, importPath string) ([]escapeDiag, error) {
 }
 
 // parseEscapeLine extracts an escape/move diagnostic from one line of
-// `-m=2` output ("file.go:10:12: x escapes to heap"). Indented flow
-// detail, non-escape chatter (inlining decisions) and string-literal
-// subjects are rejected.
+// `-m=2` output ("./file.go:10:12: x escapes to heap"). The compiler
+// prints positions relative to the directory the build ran in (dir), so
+// relative paths are joined onto it and cleaned, giving the absolute
+// filenames the fileset uses. Indented flow detail, non-escape chatter
+// (inlining decisions) and string-literal subjects are rejected.
 func parseEscapeLine(dir, line string) (escapeDiag, bool) {
 	parts := strings.SplitN(line, ":", 4)
 	if len(parts) != 4 {
@@ -224,22 +251,18 @@ func parseEscapeLine(dir, line string) (escapeDiag, bool) {
 	if strings.HasPrefix(subject, `"`) {
 		return escapeDiag{}, false // message constant on an inlined cold path
 	}
-	// Keep the path as printed; containingHotFunc suffix-matches it
-	// against fset-absolute filenames.
-	return escapeDiag{file: parts[0], line: lineNo, col: col, msg: msg}, true
+	file := parts[0]
+	if !filepath.IsAbs(file) {
+		file = filepath.Join(dir, file)
+	}
+	return escapeDiag{file: filepath.Clean(file), line: lineNo, col: col, msg: msg}, true
 }
 
 // containingHotFunc returns the annotated function covering file:line.
-// The compiler prints file paths relative to a directory it chooses (the
-// module root in practice), so the match is by path suffix against the
-// annotated function's fset-absolute filename.
 func containingHotFunc(hot []hotFunc, file string, line int) *hotFunc {
 	for i := range hot {
 		h := &hot[i]
-		if line < h.startLine || line > h.endLine {
-			continue
-		}
-		if h.file == file || strings.HasSuffix(h.file, "/"+file) {
+		if h.file == file && line >= h.startLine && line <= h.endLine {
 			return h
 		}
 	}

@@ -156,11 +156,19 @@ func (c *Classifier) RecommendNodes(partID string, features []string) []ScoredNo
 // through sc. A nil clock (request logging off, or callers outside the
 // serving path) makes the timing free.
 func (c *Classifier) RecommendNodesTimed(sc *reqlog.StageClock, partID string, features []string) []ScoredNode {
+	nodes, _ := c.recommendNodes(sc, partID, features)
+	return nodes
+}
+
+// recommendNodes ranks the candidate set and cuts it to NodeCutoff nodes,
+// also reporting how many candidates were scored.
+func (c *Classifier) recommendNodes(sc *reqlog.StageClock, partID string, features []string) ([]ScoredNode, int) {
 	cutoff := c.NodeCutoff
 	if cutoff <= 0 {
 		cutoff = DefaultNodeCutoff
 	}
 	scored := c.rankNodes(sc, partID, features)
+	candidates := len(scored)
 	if len(scored) > cutoff {
 		scored = scored[:cutoff]
 	}
@@ -168,7 +176,7 @@ func (c *Classifier) RecommendNodesTimed(sc *reqlog.StageClock, partID string, f
 	for i, sn := range scored {
 		out[i] = ScoredNode{ID: sn.node.ID, Code: sn.node.ErrorCode, Score: sn.score}
 	}
-	return out
+	return out, candidates
 }
 
 // CodesFromNodes collapses a ranked node list to the distinct error codes
@@ -176,8 +184,9 @@ func (c *Classifier) RecommendNodesTimed(sc *reqlog.StageClock, partID string, f
 //
 //qatk:hotpath
 func CodesFromNodes(nodes []ScoredNode) []ScoredCode {
-	//qatk:allowalloc the dedup set and result list are the function's product, bounded by the node cutoff
+	//qatk:allowalloc the dedup set is per-query workspace, bounded by the node cutoff
 	seen := make(map[string]bool, len(nodes))
+	//qatk:allowalloc the code list is the function's product, returned to the caller and bounded by the node cutoff
 	out := make([]ScoredCode, 0, len(nodes))
 	for _, sn := range nodes {
 		if seen[sn.Code] {
@@ -196,6 +205,14 @@ func CodesFromNodes(nodes []ScoredNode) []ScoredCode {
 // most that many codes.
 func (c *Classifier) Recommend(partID string, features []string) []ScoredCode {
 	return CodesFromNodes(c.RecommendNodes(partID, features))
+}
+
+// RecommendCounted is Recommend that also reports the size of the
+// candidate set it scored — the similarity computations the feasibility
+// numbers of §5.2.2 count — from the same retrieval that ranked it.
+func (c *Classifier) RecommendCounted(partID string, features []string) ([]ScoredCode, int) {
+	nodes, candidates := c.recommendNodes(nil, partID, features)
+	return CodesFromNodes(nodes), candidates
 }
 
 // MajorityVote is the standard unweighted instance-based kNN assignment

@@ -23,7 +23,7 @@ import (
 	"repro/internal/textproc"
 )
 
-// Span names opened by Run.
+// Span names opened by crossValidate (Run and both baselines).
 const (
 	spanVariant = "eval.variant"
 	spanFold    = "eval.fold"
@@ -162,13 +162,6 @@ func StratifiedFolds(bundles []*bundle.Bundle, folds int, seed int64) [][]int {
 	return out
 }
 
-// featureKey identifies a precomputed feature configuration.
-type featureKey struct {
-	model     kb.FeatureModel
-	stopwords bool
-	sources   string // joined source list; "" = default
-}
-
 // features computes the feature sets of every bundle for one
 // configuration. Engine failures are returned, not panicked: the
 // preprocessing engines run outside a pipeline here, so the error
@@ -195,33 +188,44 @@ func (e *Experiment) features(model kb.FeatureModel, stop bool, sources []bundle
 	return out, nil
 }
 
-// Run cross-validates one variant.
-func (e *Experiment) Run(v Variant) (*Result, error) {
-	trainFeats, err := e.features(v.Model, v.Stopwords, bundle.TrainingSources())
-	if err != nil {
-		return nil, err
+// featurePair extracts every bundle's training features and its test
+// features from testSources (nil: all test-phase sources).
+func (e *Experiment) featurePair(model kb.FeatureModel, stop bool, testSources []bundle.Source) (train, test [][]string, err error) {
+	if train, err = e.features(model, stop, bundle.TrainingSources()); err != nil {
+		return nil, nil, err
 	}
-	testSources := v.TestSources
 	if testSources == nil {
 		testSources = bundle.TestSources()
 	}
-	testFeats, err := e.features(v.Model, v.Stopwords, testSources)
-	if err != nil {
-		return nil, err
+	if test, err = e.features(model, stop, testSources); err != nil {
+		return nil, nil, err
 	}
+	return train, test, nil
+}
 
+// foldClassifier ranks held-out bundle idx over one fold's knowledge base
+// and reports how many candidate nodes it scored (0 for the baselines,
+// which score none).
+type foldClassifier func(idx int) (list []core.ScoredCode, candidates int)
+
+// crossValidate is the fold loop behind Run and both baselines. For each
+// stratified fold it builds the knowledge base from the other folds'
+// training features (nil trainFeats: code frequencies only), asks newFold
+// for the fold's classifier over it and ranks every held-out bundle. The
+// injected clock is read before and after each fold's classification
+// loop, while the fold's knowledge base and every feature set are live.
+func (e *Experiment) crossValidate(name string, trainFeats [][]string, newFold func(mem *kb.Memory) foldClassifier) *Result {
 	folds := StratifiedFolds(e.Bundles, e.Folds, e.Seed)
-	res := &Result{Variant: v.Name, Accuracy: AccuracyAtK{}}
-	vspan := e.Tracer.Start(nil, spanVariant, obs.L("variant", v.Name))
+	res := &Result{Variant: name, Accuracy: AccuracyAtK{}}
+	vspan := e.Tracer.Start(nil, spanVariant, obs.L("variant", name))
 	defer vspan.End(nil)
-	guard := e.Flight.Guard(spanVariant + ":" + v.Name)
+	guard := e.Flight.Guard(spanVariant + ":" + name)
 	defer guard.Stop()
 	hits := map[int]int{}
 	total := 0
 	var classifySeconds float64
 	var kbNodes int
-	var comparisons int64
-	var candTotal int64
+	var candidates int64
 
 	for f := 0; f < e.Folds; f++ {
 		guard.Beat()
@@ -232,23 +236,25 @@ func (e *Experiment) Run(v Variant) (*Result, error) {
 			inTest[idx] = true
 		}
 		for i, b := range e.Bundles {
-			if !inTest[i] {
-				mem.AddBundle(b.PartID, b.ErrorCode, trainFeats[i])
+			if inTest[i] {
+				continue
 			}
+			var feats []string
+			if trainFeats != nil {
+				feats = trainFeats[i]
+			}
+			mem.AddBundle(b.PartID, b.ErrorCode, feats)
 		}
 		kbNodes += mem.NodeCount()
-		clf := core.New(mem, v.Sim)
+		classify := newFold(mem)
 
 		foldAcc := AccuracyAtK{}
 		foldHits := map[int]int{}
 		start := e.now()
 		for _, idx := range folds[f] {
-			b := e.Bundles[idx]
-			cands := mem.Candidates(b.PartID, testFeats[idx])
-			comparisons += int64(len(cands))
-			candTotal += int64(len(cands))
-			list := clf.Recommend(b.PartID, testFeats[idx])
-			r := core.Rank(list, b.ErrorCode)
+			list, n := classify(idx)
+			candidates += int64(n)
+			r := core.Rank(list, e.Bundles[idx].ErrorCode)
 			for _, k := range e.Ks {
 				if r > 0 && r <= k {
 					foldHits[k]++
@@ -271,11 +277,25 @@ func (e *Experiment) Run(v Variant) (*Result, error) {
 	res.SecPerBundle = classifySeconds / float64(total)
 	res.TestBundles = total / e.Folds
 	res.KBNodes = kbNodes / e.Folds
-	res.Comparisons = comparisons
+	res.Comparisons = candidates
 	if total > 0 {
-		res.CandidateSize = float64(candTotal) / float64(total)
+		res.CandidateSize = float64(candidates) / float64(total)
 	}
-	return res, nil
+	return res
+}
+
+// Run cross-validates one variant.
+func (e *Experiment) Run(v Variant) (*Result, error) {
+	trainFeats, testFeats, err := e.featurePair(v.Model, v.Stopwords, v.TestSources)
+	if err != nil {
+		return nil, err
+	}
+	return e.crossValidate(v.Name, trainFeats, func(mem *kb.Memory) foldClassifier {
+		clf := core.New(mem, v.Sim)
+		return func(idx int) ([]core.ScoredCode, int) {
+			return clf.RecommendCounted(e.Bundles[idx].PartID, testFeats[idx])
+		}
+	}), nil
 }
 
 // RunAll cross-validates several variants, stopping at the first failure.
@@ -291,106 +311,30 @@ func (e *Experiment) RunAll(variants []Variant) ([]*Result, error) {
 	return out, nil
 }
 
-// RunFrequencyBaseline evaluates the code-frequency baseline (§5.1).
+// RunFrequencyBaseline evaluates the code-frequency baseline (§5.1). It
+// only needs frequencies, so the fold knowledge bases carry no features.
 func (e *Experiment) RunFrequencyBaseline() *Result {
-	folds := StratifiedFolds(e.Bundles, e.Folds, e.Seed)
-	res := &Result{Variant: "code frequency baseline", Accuracy: AccuracyAtK{}}
-	hits := map[int]int{}
-	total := 0
-	for f := 0; f < e.Folds; f++ {
-		mem := kb.NewMemory()
-		inTest := make(map[int]bool, len(folds[f]))
-		for _, idx := range folds[f] {
-			inTest[idx] = true
-		}
-		for i, b := range e.Bundles {
-			if !inTest[i] {
-				// The baseline only needs frequencies; features are irrelevant.
-				mem.AddBundle(b.PartID, b.ErrorCode, nil)
-			}
-		}
+	return e.crossValidate("code frequency baseline", nil, func(mem *kb.Memory) foldClassifier {
 		bl := baseline.CodeFrequency{Store: mem}
-		foldAcc := AccuracyAtK{}
-		foldHits := map[int]int{}
-		for _, idx := range folds[f] {
-			b := e.Bundles[idx]
-			r := core.Rank(bl.Recommend(b.PartID), b.ErrorCode)
-			for _, k := range e.Ks {
-				if r > 0 && r <= k {
-					foldHits[k]++
-				}
-			}
+		return func(idx int) ([]core.ScoredCode, int) {
+			return bl.Recommend(e.Bundles[idx].PartID), 0
 		}
-		n := len(folds[f])
-		total += n
-		for _, k := range e.Ks {
-			foldAcc[k] = float64(foldHits[k]) / float64(n)
-			hits[k] += foldHits[k]
-		}
-		res.PerFold = append(res.PerFold, foldAcc)
-	}
-	for _, k := range e.Ks {
-		res.Accuracy[k] = float64(hits[k]) / float64(total)
-	}
-	res.TestBundles = total / e.Folds
-	return res
+	})
 }
 
 // RunCandidateSetBaseline evaluates the unsorted candidate-set baseline for
 // one feature model (§5.1 baseline 2).
 func (e *Experiment) RunCandidateSetBaseline(model kb.FeatureModel, testSources []bundle.Source) (*Result, error) {
-	trainFeats, err := e.features(model, false, bundle.TrainingSources())
+	trainFeats, testFeats, err := e.featurePair(model, false, testSources)
 	if err != nil {
 		return nil, err
 	}
-	if testSources == nil {
-		testSources = bundle.TestSources()
-	}
-	testFeats, err := e.features(model, false, testSources)
-	if err != nil {
-		return nil, err
-	}
-	folds := StratifiedFolds(e.Bundles, e.Folds, e.Seed)
-	res := &Result{
-		Variant:  fmt.Sprintf("candidate set baseline (%s)", model),
-		Accuracy: AccuracyAtK{},
-	}
-	hits := map[int]int{}
-	total := 0
-	for f := 0; f < e.Folds; f++ {
-		mem := kb.NewMemory()
-		inTest := make(map[int]bool, len(folds[f]))
-		for _, idx := range folds[f] {
-			inTest[idx] = true
-		}
-		for i, b := range e.Bundles {
-			if !inTest[i] {
-				mem.AddBundle(b.PartID, b.ErrorCode, trainFeats[i])
-			}
-		}
+	name := fmt.Sprintf("candidate set baseline (%s)", model)
+	return e.crossValidate(name, trainFeats, func(mem *kb.Memory) foldClassifier {
 		bl := baseline.CandidateSet{Store: mem}
-		foldAcc := AccuracyAtK{}
-		foldHits := map[int]int{}
-		for _, idx := range folds[f] {
+		return func(idx int) ([]core.ScoredCode, int) {
 			b := e.Bundles[idx]
-			r := core.Rank(bl.Recommend(b.PartID, testFeats[idx]), b.ErrorCode)
-			for _, k := range e.Ks {
-				if r > 0 && r <= k {
-					foldHits[k]++
-				}
-			}
+			return bl.Recommend(b.PartID, testFeats[idx]), 0
 		}
-		n := len(folds[f])
-		total += n
-		for _, k := range e.Ks {
-			foldAcc[k] = float64(foldHits[k]) / float64(n)
-			hits[k] += foldHits[k]
-		}
-		res.PerFold = append(res.PerFold, foldAcc)
-	}
-	for _, k := range e.Ks {
-		res.Accuracy[k] = float64(hits[k]) / float64(total)
-	}
-	res.TestBundles = total / e.Folds
-	return res, nil
+	}), nil
 }

@@ -21,8 +21,10 @@ type CodeCount struct {
 }
 
 // Store is the read interface the classifier and the baselines work
-// against. Both the in-memory knowledge base and the relational one
-// implement it.
+// against. Memory is its implementation, whether trained in place, loaded
+// from the database by OpenDB or cut to one shard by Subset; the interface
+// is the seam callers wrap (timing, fault injection) without touching the
+// knowledge base itself.
 type Store interface {
 	// NodeCount reports the number of knowledge nodes.
 	NodeCount() int
@@ -100,6 +102,33 @@ func (m *Memory) AddBundle(partID, errorCode string, features []string) *Node {
 	return n
 }
 
+// addNode indexes a node that already carries its ID: one loaded from the
+// database or kept by a shard's Subset. AddBundle is the training path,
+// which mints IDs and counts bundles.
+func (m *Memory) addNode(n *Node) {
+	idx := int32(len(m.nodes))
+	m.nodes = append(m.nodes, n)
+	m.dedup[n.PartID+"\x00"+n.ErrorCode+"\x00"+strings.Join(n.Features, "\x01")] = idx
+	m.byPart[n.PartID] = append(m.byPart[n.PartID], idx)
+	for _, f := range n.Features {
+		key := n.PartID + "\x00" + f
+		m.byPF[key] = append(m.byPF[key], idx)
+	}
+	m.nextID = max(m.nextID, n.ID+1)
+}
+
+// addCount records count training bundles of errorCode for partID.
+func (m *Memory) addCount(partID, errorCode string, count int) {
+	pf := m.freq[partID]
+	if pf == nil {
+		pf = make(map[string]int)
+		m.freq[partID] = pf
+	}
+	pf[errorCode] += count
+	m.global[errorCode] += count
+	m.bundles += count
+}
+
 // NodeCount implements Store.
 func (m *Memory) NodeCount() int { return len(m.nodes) }
 
@@ -161,3 +190,5 @@ func sortedCounts(src map[string]int) []CodeCount {
 
 // DistinctCodes reports the number of distinct error codes recorded.
 func (m *Memory) DistinctCodes() int { return len(m.global) }
+
+var _ Store = (*Memory)(nil)

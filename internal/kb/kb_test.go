@@ -153,10 +153,25 @@ func TestCodeFrequencyTieBreak(t *testing.T) {
 	}
 }
 
-func TestDBStoreMatchesMemory(t *testing.T) {
+// TestOpenDBRoundTrip: OpenDB after Persist(m) answers every Store method
+// exactly like m — same nodes with the same IDs in the same order — and a
+// database that still carries the retired kb_features table keeps loading.
+func TestOpenDBRoundTrip(t *testing.T) {
 	m := memFixture()
 	db, _ := reldb.Open("")
 	if err := CreateTables(db); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(reldb.Schema{
+		Name: "kb_features",
+		Columns: []reldb.Column{
+			{Name: "id", Type: reldb.TInt},
+			{Name: "node_id", Type: reldb.TInt, NotNull: true},
+			{Name: "part_id", Type: reldb.TString, NotNull: true},
+			{Name: "feature", Type: reldb.TString, NotNull: true},
+		},
+		PrimaryKey: "id",
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := Persist(db, m); err != nil {
@@ -172,36 +187,32 @@ func TestDBStoreMatchesMemory(t *testing.T) {
 	if s.BundleCount() != m.BundleCount() {
 		t.Fatalf("bundle count = %d vs %d", s.BundleCount(), m.BundleCount())
 	}
-	if !s.KnownPart("P1") || s.KnownPart("P99") {
-		t.Fatal("KnownPart wrong")
+	if s.DistinctCodes() != m.DistinctCodes() {
+		t.Fatalf("distinct codes = %d vs %d", s.DistinctCodes(), m.DistinctCodes())
 	}
-	// Same candidates (set equality on node IDs).
-	want := map[int64]bool{}
-	for _, n := range m.Candidates("P1", []string{"radio"}) {
-		want[n.ID] = true
+	if !reflect.DeepEqual(s.AllNodes(), m.AllNodes()) {
+		t.Fatalf("AllNodes differ:\n got %v\nwant %v", s.AllNodes(), m.AllNodes())
 	}
-	got := s.Candidates("P1", []string{"radio"})
-	if len(got) != len(want) {
-		t.Fatalf("candidates = %d vs %d", len(got), len(want))
-	}
-	for _, n := range got {
-		if !want[n.ID] {
-			t.Fatalf("unexpected candidate %+v", n)
+	for _, part := range []string{"P1", "P2", "P99"} {
+		if s.KnownPart(part) != m.KnownPart(part) {
+			t.Fatalf("KnownPart(%s) = %v, want %v", part, s.KnownPart(part), m.KnownPart(part))
 		}
-		if len(n.Features) == 0 {
-			t.Fatal("features not round-tripped")
+		if got, want := s.CodeFrequencies(part), m.CodeFrequencies(part); !reflect.DeepEqual(got, want) {
+			t.Fatalf("CodeFrequencies(%s) = %v, want %v", part, got, want)
+		}
+		for _, feats := range [][]string{{"radio"}, {"crackle", "fan", "radio"}, {"brake"}, {"zzz"}, nil} {
+			if got, want := s.Candidates(part, feats), m.Candidates(part, feats); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Candidates(%s, %v) = %v, want %v", part, feats, got, want)
+			}
 		}
 	}
-	// Same frequencies.
-	if !reflect.DeepEqual(s.CodeFrequencies("P1"), m.CodeFrequencies("P1")) {
-		t.Fatalf("freqs differ: %v vs %v", s.CodeFrequencies("P1"), m.CodeFrequencies("P1"))
+	// The loaded Memory keeps training: the next node gets a fresh ID and
+	// an identical configuration instance is deduplicated.
+	if n := s.AddBundle("P1", "E1", []string{"crackle", "radio"}); n.ID != 1 {
+		t.Fatalf("duplicate configuration instance got new node %d", n.ID)
 	}
-	if !reflect.DeepEqual(s.CodeFrequencies("P99"), m.CodeFrequencies("P99")) {
-		t.Fatalf("global freqs differ")
-	}
-	// Unknown part: all nodes.
-	if got := s.Candidates("P99", []string{"radio"}); len(got) != m.NodeCount() {
-		t.Fatalf("fallback = %d", len(got))
+	if n := s.AddBundle("P3", "E4", []string{"door"}); n.ID != int64(m.NodeCount())+1 {
+		t.Fatalf("new node ID = %d, want %d", n.ID, m.NodeCount()+1)
 	}
 }
 

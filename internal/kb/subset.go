@@ -1,9 +1,6 @@
 package kb
 
-import (
-	"hash/fnv"
-	"sort"
-)
+import "hash/fnv"
 
 // Part-ID partitioning for the sharded serving tier. The paper's candidate
 // selection (§4.3/Fig. 5) keys on part ID, so a knowledge base splits
@@ -23,101 +20,30 @@ func PartOwner(partID string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// Subset materializes the slice of src owned by shard `shard` of `n` into
-// an in-memory Store. Node IDs are preserved, so rankings merged across
-// subsets tie-break exactly like a ranking over the whole store — the
+// Subset filters the slice of src owned by shard `shard` of `n` into a new
+// Memory. Node IDs are preserved, so rankings merged across subsets
+// tie-break exactly like a ranking over the whole knowledge base — the
 // property the router's deterministic merge relies on. Code frequencies
-// are restricted to the kept parts; BundleCount reports the kept share.
-func Subset(src Store, shard, n int) Store {
-	sub := &subsetStore{
-		byPart: make(map[string][]int32),
-		byPF:   make(map[string][]int32),
-		freq:   make(map[string][]CodeCount),
+// are restricted to the owned parts, so BundleCount reports the owned
+// share and the unknown-part fallback aggregates the shard's view of the
+// world. With n <= 1 the one shard owns everything and Subset returns src.
+func Subset(src *Memory, shard, n int) *Memory {
+	if n <= 1 {
+		return src
 	}
-	for _, node := range src.AllNodes() {
-		if PartOwner(node.PartID, n) != shard {
+	sub := NewMemory()
+	for _, node := range src.nodes {
+		if PartOwner(node.PartID, n) == shard {
+			sub.addNode(node)
+		}
+	}
+	for part, counts := range src.freq {
+		if PartOwner(part, n) != shard {
 			continue
 		}
-		idx := int32(len(sub.nodes))
-		sub.nodes = append(sub.nodes, node)
-		sub.byPart[node.PartID] = append(sub.byPart[node.PartID], idx)
-		for _, f := range node.Features {
-			key := node.PartID + "\x00" + f
-			sub.byPF[key] = append(sub.byPF[key], idx)
-		}
-	}
-	parts := make([]string, 0, len(sub.byPart))
-	for p := range sub.byPart {
-		parts = append(parts, p)
-	}
-	sort.Strings(parts)
-	for _, p := range parts {
-		counts := src.CodeFrequencies(p)
-		sub.freq[p] = counts
-		for _, cc := range counts {
-			sub.bundles += cc.Count
+		for code, c := range counts {
+			sub.addCount(part, code, c)
 		}
 	}
 	return sub
 }
-
-// subsetStore is the in-memory partition view produced by Subset.
-type subsetStore struct {
-	nodes   []*Node
-	byPart  map[string][]int32
-	byPF    map[string][]int32
-	freq    map[string][]CodeCount
-	bundles int
-}
-
-// NodeCount implements Store.
-func (s *subsetStore) NodeCount() int { return len(s.nodes) }
-
-// BundleCount implements Store.
-func (s *subsetStore) BundleCount() int { return s.bundles }
-
-// KnownPart implements Store.
-func (s *subsetStore) KnownPart(partID string) bool { return len(s.byPart[partID]) > 0 }
-
-// Candidates implements Store with the standard contract: for a known part
-// the (part, feature) inverted index drives selection; an unknown part
-// falls back to every local node (the scatter path ranks all shards'
-// nodes, reproducing the unsharded all-nodes fallback).
-func (s *subsetStore) Candidates(partID string, features []string) []*Node {
-	if !s.KnownPart(partID) {
-		return s.AllNodes()
-	}
-	seen := make(map[int32]bool)
-	var out []*Node
-	for _, f := range features {
-		for _, idx := range s.byPF[partID+"\x00"+f] {
-			if !seen[idx] {
-				seen[idx] = true
-				out = append(out, s.nodes[idx])
-			}
-		}
-	}
-	return out
-}
-
-// AllNodes implements Store.
-func (s *subsetStore) AllNodes() []*Node {
-	return append([]*Node(nil), s.nodes...)
-}
-
-// CodeFrequencies implements Store. The global fallback for unknown parts
-// aggregates over the kept parts only — the shard's view of the world.
-func (s *subsetStore) CodeFrequencies(partID string) []CodeCount {
-	if counts, ok := s.freq[partID]; ok {
-		return append([]CodeCount(nil), counts...)
-	}
-	agg := map[string]int{}
-	for _, counts := range s.freq {
-		for _, cc := range counts {
-			agg[cc.Code] += cc.Count
-		}
-	}
-	return sortedCounts(agg)
-}
-
-var _ Store = (*subsetStore)(nil)

@@ -57,6 +57,18 @@ const (
 	MetricScrapeSeconds = "obs_scrape_seconds"
 )
 
+// MaxSeriesPerFamily bounds the label sets one metric family records. A
+// label fed from request data (a route, a part ID, a status) would
+// otherwise grow the registry, and every scrape's rendering, without
+// limit. Lookups of a new label set past the cap get the nil (no-op)
+// handle and count in MetricSeriesDroppedTotal; series created before
+// the cap keep recording.
+const MaxSeriesPerFamily = 1024
+
+// MetricSeriesDroppedTotal counts lookups of a new label set that a
+// family at MaxSeriesPerFamily refused to record.
+const MetricSeriesDroppedTotal = "obs_metric_series_dropped_total"
+
 // ScrapeBuckets are the histogram bounds for exposition rendering cost:
 // scrapes are fast, so the buckets start at 10µs.
 var ScrapeBuckets = []float64{0.00001, 0.0001, 0.001, 0.01, 0.1, 1}
@@ -68,6 +80,7 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family //qatk:guardedby mu
 	clock    func() time.Time
+	dropped  *Counter // MetricSeriesDroppedTotal
 }
 
 // family is one named metric with its labeled series.
@@ -79,10 +92,11 @@ type family struct {
 }
 
 // NewRegistry builds a metrics registry. The scrape self-instrumentation
-// families are pre-registered so they render (at zero) from the first
-// exposition on.
+// and series-cap families are pre-registered so they render (at zero)
+// from the first exposition on.
 func NewRegistry() *Registry {
 	r := &Registry{families: make(map[string]*family), clock: time.Now}
+	r.dropped = r.Counter(MetricSeriesDroppedTotal)
 	r.Counter(MetricScrapeTotal)
 	r.Histogram(MetricScrapeSeconds, ScrapeBuckets)
 	return r
@@ -130,11 +144,12 @@ func renderLabels(labels []Label) string {
 }
 
 // lookup returns (creating if needed) the series for name+labels, or nil
-// when the registry is nil or the name is already registered with a
+// when the registry is nil, the name is already registered with a
 // different kind (misregistration must not panic; qatklint/paniccontract
-// confines panics to the pipeline recovery layer). New series are built
-// from the family's bounds (fixed by its first registration) so every
-// series of one histogram family shares a single le set.
+// confines panics to the pipeline recovery layer), or the label set is
+// new to a family already holding MaxSeriesPerFamily series. New series
+// are built from the family's bounds (fixed by its first registration) so
+// every series of one histogram family shares a single le set.
 func (r *Registry) lookup(name string, kind metricKind, buckets []float64, labels []Label, make func(bounds []float64) any) any {
 	if r == nil {
 		return nil
@@ -152,6 +167,10 @@ func (r *Registry) lookup(name string, kind metricKind, buckets []float64, label
 	sig := renderLabels(labels)
 	s, ok := f.series[sig]
 	if !ok {
+		if len(f.series) >= MaxSeriesPerFamily {
+			r.dropped.Inc()
+			return nil
+		}
 		s = make(f.buckets)
 		f.series[sig] = s
 	}

@@ -31,6 +31,8 @@ func TestPromExpositionGolden(t *testing.T) {
 	}
 	want := `# TYPE build_info gauge
 build_info{go_version="go1.22",version="(devel)"} 1
+# TYPE obs_metric_series_dropped_total counter
+obs_metric_series_dropped_total 0
 # TYPE obs_scrape_seconds histogram
 obs_scrape_seconds_bucket{le="1e-05"} 0
 obs_scrape_seconds_bucket{le="0.0001"} 0
@@ -86,7 +88,8 @@ func stripScrapeLines(s string) string {
 // registry under a fixed clock: the first WriteProm incremented the
 // counter and observed one zero-duration render, so the second exposition
 // shows obs_scrape_total 2 and a one-observation histogram — the scrape
-// cost made visible, deterministically, in a stable family order.
+// cost made visible, deterministically, in a stable family order — beside
+// the series-cap drop counter, pre-registered at zero.
 func TestScrapeSelfInstrumentationGolden(t *testing.T) {
 	r := NewRegistry().WithClock(func() time.Time { return time.Unix(0, 0) })
 	if err := r.WriteProm(io.Discard); err != nil {
@@ -96,7 +99,9 @@ func TestScrapeSelfInstrumentationGolden(t *testing.T) {
 	if err := r.WriteProm(&sb); err != nil {
 		t.Fatal(err)
 	}
-	want := `# TYPE obs_scrape_seconds histogram
+	want := `# TYPE obs_metric_series_dropped_total counter
+obs_metric_series_dropped_total 0
+# TYPE obs_scrape_seconds histogram
 obs_scrape_seconds_bucket{le="1e-05"} 1
 obs_scrape_seconds_bucket{le="0.0001"} 1
 obs_scrape_seconds_bucket{le="0.001"} 1
@@ -215,31 +220,22 @@ func TestCounterConcurrency(t *testing.T) {
 // first-use series creation must be race-free — WriteProm snapshots each
 // family's series under the registry lock instead of walking the live
 // maps lookup mutates. Run under -race this is the regression test for
-// the concurrent map read/write crash.
+// the concurrent map read/write crash. Each writer creates a bounded
+// number of new series, so the scrapes render a registry of bounded size.
 func TestScrapeDuringSeriesCreation(t *testing.T) {
+	const perWriter = 200
 	r := NewRegistry()
-	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
+		for i := 0; i < perWriter; i++ {
 			r.Counter("quest_http_requests_total", L("code", strconv.Itoa(i))).Inc()
 		}
 	}()
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
+		for i := 0; i < perWriter; i++ {
 			r.Histogram("quest_http_request_duration_seconds", nil, L("route", strconv.Itoa(i))).Observe(0.1)
 		}
 	}()
@@ -248,8 +244,57 @@ func TestScrapeDuringSeriesCreation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(done)
 	wg.Wait()
+	var sb strings.Builder
+	if err := r.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(sb.String(), "quest_http_requests_total{"); got != perWriter {
+		t.Fatalf("rendered %d counter series, want %d", got, perWriter)
+	}
+}
+
+// TestSeriesCapPerFamily: a family records at most MaxSeriesPerFamily
+// label sets. Past the cap a new label set gets the no-op handle and
+// counts in obs_metric_series_dropped_total, while the series recorded
+// before the cap keep counting and other families are unaffected.
+func TestSeriesCapPerFamily(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < MaxSeriesPerFamily; i++ {
+		if c := r.Counter("quest_http_requests_total", L("code", strconv.Itoa(i))); c == nil {
+			t.Fatalf("series %d under the cap was refused", i)
+		}
+	}
+	const over = 7
+	for i := 0; i < over; i++ {
+		c := r.Counter("quest_http_requests_total", L("code", "over"+strconv.Itoa(i)))
+		if c != nil {
+			t.Fatalf("series past the cap was recorded")
+		}
+		c.Inc() // the no-op handle is safe to use
+	}
+	if got := r.Counter(MetricSeriesDroppedTotal).Value(); got != over {
+		t.Fatalf("%s = %d, want %d", MetricSeriesDroppedTotal, got, over)
+	}
+	r.Counter("quest_http_requests_total", L("code", "0")).Add(3)
+	if got := r.Counter("quest_http_requests_total", L("code", "0")).Value(); got != 3 {
+		t.Fatalf("existing series past the cap = %d, want 3", got)
+	}
+	if r.Gauge("quest_shard_queries_inflight", L("shard", "0")) == nil {
+		t.Fatal("a full family capped another family")
+	}
+
+	var sb strings.Builder
+	if err := r.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if got := strings.Count(out, "quest_http_requests_total{"); got != MaxSeriesPerFamily {
+		t.Fatalf("rendered %d series of the capped family, want %d", got, MaxSeriesPerFamily)
+	}
+	if !strings.Contains(out, MetricSeriesDroppedTotal+" 7\n") {
+		t.Fatalf("exposition lacks the drop count:\n%s", out[:min(len(out), 400)])
+	}
 }
 
 // TestHistogramBucketsFixedByFamily: bucket bounds are set by the first

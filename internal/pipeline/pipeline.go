@@ -137,14 +137,6 @@ func (p *Pipeline) Process(c *cas.CAS) error {
 	return p.process(c, nil, nil, nil)
 }
 
-// ProcessTimed is Process with per-stage attribution: engines realizing a
-// wide-event stage (tokenizer, concept annotator) credit their time to sc,
-// so a serving path that annotates live shows those stages in its event.
-// A nil clock is free.
-func (p *Pipeline) ProcessTimed(sc *reqlog.StageClock, c *cas.CAS) error {
-	return p.process(c, nil, nil, sc)
-}
-
 // process is Process with a trace seam: every engine runs under its own
 // span (a child of parent) when tr is non-nil. A nil tracer makes every
 // span call a no-op, keeping the disabled path allocation-free; likewise a

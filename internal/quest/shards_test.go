@@ -394,16 +394,16 @@ func TestReadyzBreakerArc(t *testing.T) {
 // router's rescue path without a live replication link.
 type fakeReplicaTarget struct {
 	id    string
-	store kb.Store
+	store *kb.Memory
 
 	mu  sync.Mutex
 	lag time.Duration
 	gen uint64
 }
 
-func (f *fakeReplicaTarget) ID() string      { return f.id }
-func (f *fakeReplicaTarget) Ready() bool     { return f.store != nil }
-func (f *fakeReplicaTarget) Store() kb.Store { return f.store }
+func (f *fakeReplicaTarget) ID() string        { return f.id }
+func (f *fakeReplicaTarget) Ready() bool       { return f.store != nil }
+func (f *fakeReplicaTarget) Store() *kb.Memory { return f.store }
 func (f *fakeReplicaTarget) ApplyLag() time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -22,6 +22,7 @@ import (
 	"io"
 	iofs "io/fs"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/vfs"
 )
@@ -245,36 +246,46 @@ func (db *DB) ExportState() (*StateExport, error) {
 
 // ApplyFrame applies one replicated frame (raw WAL frame bytes, as
 // produced by ExportState or read by a WALReader) as a single atomic
-// commit. The frame is CRC-checked and fully decoded before any mutation,
-// so a truncated or corrupted frame returns ErrCorruptFrame and leaves
-// the database untouched. A mid-batch apply failure (possible only when
-// the frame disagrees with the replica's state — i.e. the replica has
-// already diverged) returns an error; callers must treat it as
-// divergence and re-sync from a snapshot.
-func (db *DB) ApplyFrame(raw []byte) error {
+// commit, and reports the tables its records touched, in first-touch
+// order, so a replica can tell which derived views the frame invalidated.
+// The frame is CRC-checked and fully decoded before any mutation, so a
+// truncated or corrupted frame returns ErrCorruptFrame and leaves the
+// database untouched. A mid-batch apply failure (possible only when the
+// frame disagrees with the replica's state — i.e. the replica has already
+// diverged) returns an error; callers must treat it as divergence and
+// re-sync from a snapshot.
+func (db *DB) ApplyFrame(raw []byte) ([]string, error) {
 	if len(raw) < 8 {
-		return fmt.Errorf("%w: short frame (%d bytes)", ErrCorruptFrame, len(raw))
+		return nil, fmt.Errorf("%w: short frame (%d bytes)", ErrCorruptFrame, len(raw))
 	}
 	n := binary.LittleEndian.Uint32(raw[0:4])
 	if int64(n) != int64(len(raw)-8) {
-		return fmt.Errorf("%w: frame length %d does not match %d payload bytes", ErrCorruptFrame, n, len(raw)-8)
+		return nil, fmt.Errorf("%w: frame length %d does not match %d payload bytes", ErrCorruptFrame, n, len(raw)-8)
 	}
 	if crc32.ChecksumIEEE(raw[8:]) != binary.LittleEndian.Uint32(raw[4:8]) {
-		return fmt.Errorf("%w: crc mismatch", ErrCorruptFrame)
+		return nil, fmt.Errorf("%w: crc mismatch", ErrCorruptFrame)
 	}
 	var recs []walRecord
+	var tables []string
 	br := bytes.NewReader(raw[8:])
 	for br.Len() > 0 {
 		rec, err := decodeRecord(br)
 		if err != nil {
-			return fmt.Errorf("%w: %w", ErrCorruptFrame, err)
+			return nil, fmt.Errorf("%w: %w", ErrCorruptFrame, err)
 		}
 		if rec.Op == opGen {
-			return fmt.Errorf("%w: generation record in replicated frame", ErrCorruptFrame)
+			return nil, fmt.Errorf("%w: generation record in replicated frame", ErrCorruptFrame)
 		}
 		recs = append(recs, rec)
+		name := rec.Table
+		if rec.Schema != nil {
+			name = rec.Schema.Name
+		}
+		if !slices.Contains(tables, name) {
+			tables = append(tables, name)
+		}
 	}
-	return db.commit(func() error {
+	err := db.commit(func() error {
 		for _, rec := range recs {
 			if err := db.applyRecord(rec); err != nil {
 				return fmt.Errorf("reldb: apply replicated record: %w", err)
@@ -282,6 +293,10 @@ func (db *DB) ApplyFrame(raw []byte) error {
 		}
 		return db.logRecords(recs...)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return tables, nil
 }
 
 // Generation reports the current snapshot generation.

@@ -71,11 +71,16 @@ func TestWALReaderStreamsFrames(t *testing.T) {
 	}
 
 	// Applying every non-header frame to a fresh instance reproduces the
-	// primary's state exactly.
+	// primary's state exactly, and each frame reports the one table it
+	// touched (the create-table record names it through its schema).
 	replica := mustOpenMem(t)
 	for _, fr := range frames[1:] {
-		if err := replica.ApplyFrame(fr.Raw); err != nil {
+		tables, err := replica.ApplyFrame(fr.Raw)
+		if err != nil {
 			t.Fatalf("ApplyFrame: %v", err)
+		}
+		if len(tables) != 1 || tables[0] != "parts" {
+			t.Fatalf("ApplyFrame touched %v, want [parts]", tables)
 		}
 	}
 	want, err := db.StateDigest()
@@ -196,7 +201,7 @@ func TestWALReaderConcurrentAppender(t *testing.T) {
 			if fr.Header {
 				continue
 			}
-			if err := replica.ApplyFrame(fr.Raw); err != nil {
+			if _, err := replica.ApplyFrame(fr.Raw); err != nil {
 				t.Fatalf("ApplyFrame: %v", err)
 			}
 			applied++
@@ -294,7 +299,7 @@ func TestExportStateRoundTrip(t *testing.T) {
 
 	replica := mustOpenMem(t)
 	for _, raw := range ex.Frames {
-		if err := replica.ApplyFrame(raw); err != nil {
+		if _, err := replica.ApplyFrame(raw); err != nil {
 			t.Fatalf("ApplyFrame: %v", err)
 		}
 	}
@@ -352,7 +357,7 @@ func TestApplyFrameRejectsCorruption(t *testing.T) {
 		"short frame":         raw[:5],
 	}
 	for name, bad := range cases {
-		if err := replica.ApplyFrame(bad); !errors.Is(err, ErrCorruptFrame) {
+		if _, err := replica.ApplyFrame(bad); !errors.Is(err, ErrCorruptFrame) {
 			t.Fatalf("%s: ApplyFrame = %v, want ErrCorruptFrame", name, err)
 		}
 	}
@@ -361,7 +366,7 @@ func TestApplyFrameRejectsCorruption(t *testing.T) {
 		t.Fatal("corrupt frames mutated the replica")
 	}
 	// The pristine frame still applies.
-	if err := replica.ApplyFrame(raw); err != nil {
+	if _, err := replica.ApplyFrame(raw); err != nil {
 		t.Fatalf("ApplyFrame(pristine): %v", err)
 	}
 }

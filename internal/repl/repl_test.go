@@ -126,6 +126,82 @@ func TestReplicaBootstrapServesKB(t *testing.T) {
 	}
 }
 
+// TestReplicaServesKBRowsCommittedAfterBootstrap: the knowledge base a
+// replica serves follows what it applies — node and frequency rows the
+// primary commits after the bootstrap are served once tailed, not only
+// stored in the replica's database.
+func TestReplicaServesKBRowsCommittedAfterBootstrap(t *testing.T) {
+	db := newPrimary(t)
+	p, _ := repl.NewPrimary(db)
+	r := newReplica(t, p, repl.Config{})
+	r.Start()
+	waitFor(t, "replica ready", r.Ready)
+	if r.Store().KnownPart("P300") {
+		t.Fatal("replica knows part P300 before the primary committed it")
+	}
+
+	tx := db.Begin()
+	tx.Insert(kb.TableNodes, reldb.Row{nil, "P300", "E7", "f2\x01f9"})
+	tx.Insert(kb.TableCodeFreq, reldb.Row{nil, "P300", "E7", int64(2)})
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit KB rows: %v", err)
+	}
+	converged(t, r, db)
+	waitFor(t, "replica to serve the new KB rows", func() bool {
+		return r.Store().KnownPart("P300")
+	})
+	store := r.Store()
+	if got, want := store.NodeCount(), 4; got != want {
+		t.Fatalf("replica NodeCount = %d, want %d", got, want)
+	}
+	var added []*kb.Node
+	for _, n := range store.AllNodes() {
+		if n.PartID == "P300" {
+			added = append(added, n)
+		}
+	}
+	if len(added) != 1 || added[0].ErrorCode != "E7" || len(added[0].Features) != 2 {
+		t.Fatalf("nodes of the new part = %+v, want its one E7 node", added)
+	}
+	if got := store.CodeFrequencies("P300"); len(got) != 1 || got[0] != (kb.CodeCount{Code: "E7", Count: 2}) {
+		t.Fatalf("code frequencies for the new part = %v, want [{E7 2}]", got)
+	}
+	if got, want := store.BundleCount(), 5; got != want {
+		t.Fatalf("replica BundleCount = %d, want %d", got, want)
+	}
+}
+
+// TestReplicaKeepsKBAcrossOtherTables: frames that touch only non-KB
+// tables (assignments, audit rows) do not reload the knowledge base —
+// the replica keeps handing out the very Memory it loaded.
+func TestReplicaKeepsKBAcrossOtherTables(t *testing.T) {
+	db := newPrimary(t)
+	if err := db.CreateTable(reldb.Schema{
+		Name:       "audit",
+		Columns:    []reldb.Column{{Name: "id", Type: reldb.TInt}, {Name: "note", Type: reldb.TString}},
+		PrimaryKey: "id",
+	}); err != nil {
+		t.Fatalf("create audit table: %v", err)
+	}
+	p, _ := repl.NewPrimary(db)
+	r := newReplica(t, p, repl.Config{})
+	r.Start()
+	waitFor(t, "replica ready", r.Ready)
+	before := r.Store()
+	for i := 0; i < 20; i++ {
+		if _, err := db.Insert("audit", reldb.Row{nil, "assigned"}); err != nil {
+			t.Fatalf("insert audit row: %v", err)
+		}
+	}
+	converged(t, r, db)
+	if r.Store() != before {
+		t.Fatal("non-KB frames reloaded the replica's knowledge base")
+	}
+	insertNodes(t, db, 1)
+	converged(t, r, db)
+	waitFor(t, "KB frame to reload", func() bool { return r.Store() != before })
+}
+
 func TestReplicaRefusesInMemoryPrimary(t *testing.T) {
 	db, err := reldb.Open("")
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"time"
 
@@ -56,11 +57,14 @@ type Config struct {
 }
 
 // Replica tails a primary's WAL into its own reldb instance and serves
-// reads from it. The apply loop runs in one goroutine between Start and
-// Stop; every serving accessor (Ready, Store, ApplyLag, Generation) is
-// safe for concurrent use and keeps answering during a re-sync — the old
-// state is an exact, merely stale, prefix of the primary's history, so
-// serving it never violates the divergence contract.
+// the knowledge base loaded from it. The apply loop runs in one goroutine
+// between Start and Stop. It loads the knowledge base into a kb.Memory at
+// bootstrap and again after every batch whose frames touched the KB
+// tables, so serving never queries the database. Every serving accessor
+// (Ready, Store, ApplyLag, Generation) is safe for concurrent use and
+// keeps answering during a re-sync — the old state is an exact, merely
+// stale, prefix of the primary's history, so serving it never violates
+// the divergence contract.
 type Replica struct {
 	cfg   Config
 	clock func() time.Time
@@ -73,12 +77,12 @@ type Replica struct {
 	log        *obs.Logger
 
 	mu       sync.Mutex
-	db       *reldb.DB   //qatk:guardedby mu — current applied state (nil before first bootstrap / after Crash)
-	store    *kb.DBStore //qatk:guardedby mu — serving view over db (nil when db has no KB tables)
-	gen      uint64      //qatk:guardedby mu — generation being tailed
-	offset   int64       //qatk:guardedby mu — last-applied WAL offset (the resume point)
-	synced   bool        //qatk:guardedby mu — bootstrapped and not marked for re-sync
-	caughtAt time.Time   //qatk:guardedby mu — last time the tail drained to the primary's head
+	db       *reldb.DB  //qatk:guardedby mu — current applied state (nil before first bootstrap / after Crash)
+	mem      *kb.Memory //qatk:guardedby mu — knowledge base loaded from db (nil when db has no KB tables)
+	gen      uint64     //qatk:guardedby mu — generation being tailed
+	offset   int64      //qatk:guardedby mu — last-applied WAL offset (the resume point)
+	synced   bool       //qatk:guardedby mu — bootstrapped and not marked for re-sync
+	caughtAt time.Time  //qatk:guardedby mu — last time the tail drained to the primary's head
 
 	runMu  sync.Mutex
 	cancel context.CancelFunc //qatk:guardedby runMu
@@ -136,7 +140,7 @@ func (r *Replica) ID() string { return r.cfg.ID }
 func (r *Replica) Ready() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.store != nil
+	return r.mem != nil
 }
 
 // Synced reports whether the replica is bootstrapped and tailing (false
@@ -174,16 +178,13 @@ func (r *Replica) ApplyLag() time.Duration {
 	return r.clock().Sub(caughtAt)
 }
 
-// Store returns the replica's current serving view (nil when not Ready).
-// Re-syncs swap the backing state; callers must re-fetch per query rather
-// than caching the returned store.
-func (r *Replica) Store() kb.Store {
+// Store returns the replica's current knowledge base (nil when not
+// Ready). The returned Memory is never mutated: reloads and re-syncs swap
+// in a new one, so callers re-fetch per query rather than caching it.
+func (r *Replica) Store() *kb.Memory {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.store == nil {
-		return nil
-	}
-	return r.store
+	return r.mem
 }
 
 // DB returns the replica's current database (digest checks, tests).
@@ -238,7 +239,7 @@ func (r *Replica) Stop() {
 func (r *Replica) Crash() {
 	r.Stop()
 	r.mu.Lock()
-	r.db, r.store = nil, nil
+	r.db, r.mem = nil, nil
 	r.gen, r.offset = 0, 0
 	r.synced = false
 	r.caughtAt = time.Time{}
@@ -250,7 +251,7 @@ func (r *Replica) Close() {
 	r.Stop()
 	r.mu.Lock()
 	db := r.db
-	r.db, r.store = nil, nil
+	r.db, r.mem = nil, nil
 	r.synced = false
 	r.mu.Unlock()
 	if db != nil {
@@ -343,20 +344,15 @@ func (r *Replica) bootstrapOnce(ctx context.Context) error {
 		return err
 	}
 	for _, raw := range snap.Frames {
-		if err := db.ApplyFrame(raw); err != nil {
+		if _, err := db.ApplyFrame(raw); err != nil {
 			db.Close()
 			return err
 		}
 	}
-	// A replicated database without the KB tables still replicates; it
-	// just has nothing to serve the classifier (store stays nil).
-	store, err := kb.OpenDB(db)
-	if err != nil {
-		store = nil
-	}
+	mem := loadKB(db)
 	now := r.clock()
 	r.mu.Lock()
-	r.db, r.store = db, store
+	r.db, r.mem = db, mem
 	r.gen, r.offset = snap.Gen, snap.WALOffset
 	r.synced = true
 	r.caughtAt = now
@@ -377,7 +373,7 @@ func (r *Replica) openFreshDB() (*reldb.DB, error) {
 	}
 	r.mu.Lock()
 	old := r.db
-	r.db, r.store = nil, nil
+	r.db, r.mem = nil, nil
 	r.mu.Unlock()
 	if old != nil {
 		old.Close()
@@ -392,7 +388,11 @@ func (r *Replica) openFreshDB() (*reldb.DB, error) {
 	return reldb.OpenWith(r.cfg.Dir, reldb.Options{FS: fsys, Sync: r.cfg.Sync})
 }
 
-// tailOnce pulls one batch of frames and applies them. A short batch
+// tailOnce pulls one batch of frames and applies them. A batch whose
+// frames touched the KB tables reloads the knowledge base and swaps it in
+// before the catch-up instant moves, so a replica reporting itself caught
+// up serves what it applied; batches touching only other tables
+// (assignments, audit rows) leave the loaded Memory alone. A short batch
 // means the tail drained to the primary's current head: note the
 // catch-up instant (the lag reference point) and idle one poll interval.
 func (r *Replica) tailOnce(ctx context.Context) error {
@@ -403,14 +403,23 @@ func (r *Replica) tailOnce(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	reload := false
 	for _, fr := range frames {
-		if err := db.ApplyFrame(fr.Raw); err != nil {
+		tables, err := db.ApplyFrame(fr.Raw)
+		if err != nil {
 			return err
 		}
+		reload = reload || slices.Contains(tables, kb.TableNodes) || slices.Contains(tables, kb.TableCodeFreq)
 		r.mu.Lock()
 		r.offset = fr.End
 		r.mu.Unlock()
 		r.noteApplied(len(fr.Raw))
+	}
+	if reload {
+		mem := loadKB(db)
+		r.mu.Lock()
+		r.mem = mem
+		r.mu.Unlock()
 	}
 	if len(frames) < r.cfg.MaxBatch {
 		now := r.clock()
@@ -425,6 +434,17 @@ func (r *Replica) tailOnce(ctx context.Context) error {
 		r.lagSeconds.Set(r.ApplyLag().Seconds())
 	}
 	return nil
+}
+
+// loadKB loads the knowledge base from the replica's applied state. A
+// replicated database without the KB tables still replicates; it just
+// has nothing to serve the classifier (nil).
+func loadKB(db *reldb.DB) *kb.Memory {
+	mem, err := kb.OpenDB(db)
+	if err != nil {
+		return nil
+	}
+	return mem
 }
 
 // noteApplied records one applied frame on the replication counters.

@@ -2,11 +2,11 @@ package shard
 
 import "repro/internal/kb"
 
-// PartitionStores splits one knowledge-base store into n part-owned
-// partitions (kb.Subset per shard), the Stores slice a Router serves.
-// Node IDs are preserved, which is what makes the router's merge rank
-// exactly like the unsharded classifier.
-func PartitionStores(src kb.Store, n int) []kb.Store {
+// PartitionStores splits one knowledge base into n part-owned partitions
+// (kb.Subset per shard), the Stores slice a Router serves. Node IDs are
+// preserved, which is what makes the router's merge rank exactly like the
+// unsharded classifier.
+func PartitionStores(src *kb.Memory, n int) []kb.Store {
 	if n <= 1 {
 		n = 1
 	}

@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/kb"
@@ -14,9 +14,9 @@ const DefaultMaxApplyLag = 500 * time.Millisecond
 // ReplicaTarget is what the router needs from a WAL-shipped read replica
 // (internal/repl.Replica implements it structurally; the interface lives
 // here so shard does not import the replication layer). A target serves
-// the FULL knowledge base — the router carves the per-shard view itself —
-// and may swap its backing store at any time (re-sync), so Store is
-// fetched per query, never cached.
+// the FULL knowledge base — the router cuts each shard's partition itself
+// — and swaps in a new Memory whenever its applied state changes the
+// knowledge base (reload or re-sync), so Store is fetched per query.
 type ReplicaTarget interface {
 	// ID names the replica in health, metrics, and wide events.
 	ID() string
@@ -28,8 +28,9 @@ type ReplicaTarget interface {
 	ApplyLag() time.Duration
 	// Generation reports the primary generation last applied (/readyz).
 	Generation() uint64
-	// Store returns the current serving view (nil when not Ready).
-	Store() kb.Store
+	// Store returns the replica's current knowledge base (nil when not
+	// Ready). A returned Memory is never mutated; changes arrive as a new one.
+	Store() *kb.Memory
 }
 
 // ReplicaHealth is one replica's health view, served by /readyz.
@@ -59,119 +60,39 @@ func (r *Router) ReplicaHealth() []ReplicaHealth {
 	return out
 }
 
-// replicaStore is shard idx's live view over a replica: the same
-// partition slice kb.Subset materializes, carved on the fly so a re-sync
-// swapping the replica's backing store is picked up on the next call.
-// Node IDs pass through untouched, so rankings served from a replica
-// merge bit-identically with primary-shard rankings.
-type replicaStore struct {
+// replicaView is shard idx's partition of a replica's knowledge base: a
+// kb.Subset cut once per Memory the replica hands out, so a reload or
+// re-sync is picked up on the next attempt and a replica attempt ranks
+// through the same Memory.Candidates as the primary it hedges. Node IDs
+// pass through untouched, so rankings served from a replica merge
+// bit-identically with primary-shard rankings.
+type replicaView struct {
 	t     ReplicaTarget
 	shard int
 	n     int
+
+	mu   sync.Mutex
+	src  *kb.Memory //qatk:guardedby mu — the replica Memory part was cut from
+	part *kb.Memory //qatk:guardedby mu — this shard's Subset of src
 }
 
-// view fetches the replica's current store (nil while bootstrapping).
-func (s *replicaStore) view() kb.Store { return s.t.Store() }
-
-// owned reports whether this shard's slice holds partID.
-func (s *replicaStore) owned(partID string) bool {
-	return kb.PartOwner(partID, s.n) == s.shard
-}
-
-// KnownPart implements kb.Store: known iff the part belongs to this
-// shard's slice and the replicated KB holds nodes for it — exactly
-// subsetStore's answer for the same shard.
-func (s *replicaStore) KnownPart(partID string) bool {
-	v := s.view()
-	return v != nil && s.owned(partID) && v.KnownPart(partID)
-}
-
-// Candidates implements kb.Store under the standard contract: the
-// inverted index drives selection for a known part; an unknown part falls
-// back to every node of this shard's slice (the scatter path).
-func (s *replicaStore) Candidates(partID string, features []string) []*kb.Node {
-	v := s.view()
-	if v == nil {
+// store returns the shard's partition of the replica's current knowledge
+// base, or nil while the replica has none to serve.
+func (v *replicaView) store() kb.Store {
+	m := v.t.Store()
+	if m == nil {
 		return nil
 	}
-	if s.owned(partID) && v.KnownPart(partID) {
-		return v.Candidates(partID, features)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if m != v.src {
+		v.src, v.part = m, kb.Subset(m, v.shard, v.n)
 	}
-	return s.AllNodes()
-}
-
-// AllNodes implements kb.Store: the slice of the replicated KB this shard
-// owns.
-func (s *replicaStore) AllNodes() []*kb.Node {
-	v := s.view()
-	if v == nil {
-		return nil
-	}
-	all := v.AllNodes()
-	out := make([]*kb.Node, 0, len(all))
-	for _, node := range all {
-		if kb.PartOwner(node.PartID, s.n) == s.shard {
-			out = append(out, node)
-		}
-	}
-	return out
-}
-
-// NodeCount implements kb.Store (health/debug only; not on the serving
-// path).
-func (s *replicaStore) NodeCount() int { return len(s.AllNodes()) }
-
-// CodeFrequencies implements kb.Store: a known owned part answers from
-// the replicated frequencies; anything else aggregates over the owned
-// slice, mirroring subsetStore's shard-local view of the world.
-func (s *replicaStore) CodeFrequencies(partID string) []kb.CodeCount {
-	v := s.view()
-	if v == nil {
-		return nil
-	}
-	if s.owned(partID) && v.KnownPart(partID) {
-		return v.CodeFrequencies(partID)
-	}
-	agg := map[string]int{}
-	for _, node := range s.AllNodes() {
-		agg[node.ErrorCode]++
-	}
-	out := make([]kb.CodeCount, 0, len(agg))
-	for code, n := range agg {
-		out = append(out, kb.CodeCount{Code: code, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Code < out[j].Code
-	})
-	return out
-}
-
-// BundleCount implements kb.Store (health/debug only): the owned share of
-// the replicated bundle counts.
-func (s *replicaStore) BundleCount() int {
-	v := s.view()
-	if v == nil {
-		return 0
-	}
-	seen := map[string]bool{}
-	total := 0
-	for _, node := range s.AllNodes() {
-		if seen[node.PartID] {
-			continue
-		}
-		seen[node.PartID] = true
-		for _, cc := range v.CodeFrequencies(node.PartID) {
-			total += cc.Count
-		}
-	}
-	return total
+	return v.part
 }
 
 // replicaHandle is one shard's serving wrapper around one replica: a
-// single-goroutine worker over the shard's live slice of that replica.
+// single-goroutine worker over the shard's partition of that replica.
 type replicaHandle struct {
 	t ReplicaTarget
 	w *worker

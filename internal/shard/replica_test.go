@@ -21,14 +21,14 @@ type fakeReplica struct {
 	ready bool
 	lag   time.Duration
 	gen   uint64
-	store kb.Store
+	store *kb.Memory
 }
 
 func (f *fakeReplica) ID() string              { return f.id }
 func (f *fakeReplica) Ready() bool             { return f.ready }
 func (f *fakeReplica) ApplyLag() time.Duration { return f.lag }
 func (f *fakeReplica) Generation() uint64      { return f.gen }
-func (f *fakeReplica) Store() kb.Store {
+func (f *fakeReplica) Store() *kb.Memory {
 	if !f.ready {
 		return nil
 	}

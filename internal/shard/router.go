@@ -37,8 +37,8 @@ var ErrAllShardsFailed = errors.New("shard: all shards failed")
 
 // Config wires a Router.
 type Config struct {
-	// Stores holds one partition per shard (kb.Subset produces them); its
-	// length is the shard count.
+	// Stores holds one partition per shard (PartitionStores produces
+	// them); its length is the shard count.
 	Stores []kb.Store
 	// Sim is the similarity measure (default core.Jaccard{}); NodeCutoff
 	// caps best-scored nodes per shard (0 = core.DefaultNodeCutoff).
@@ -65,7 +65,7 @@ type Config struct {
 	// (faults.FaultyLink).
 	Hook FaultHook
 	// Replicas are WAL-shipped read replicas (internal/repl) serving the
-	// full knowledge base; the router carves each shard's live slice out of
+	// full knowledge base; the router cuts each shard's partition out of
 	// them and uses them as hedge and failover targets.
 	Replicas []ReplicaTarget
 	// MaxApplyLag bounds replica staleness (default DefaultMaxApplyLag):
@@ -182,7 +182,7 @@ func New(cfg Config) (*Router, error) {
 	for i, store := range cfg.Stores {
 		label := obs.L("shard", strconv.Itoa(i))
 		h := &handle{
-			worker:       newWorker(i, store, cfg.Sim, cfg.NodeCutoff, cfg.WorkersPerShard, cfg.Hook),
+			worker:       newWorker(i, func() kb.Store { return store }, cfg.Sim, cfg.NodeCutoff, cfg.WorkersPerShard, cfg.Hook),
 			breaker:      NewBreaker(cfg.BreakerBudget, cfg.BreakerCooldown, cfg.Clock),
 			nodes:        store.NodeCount(),
 			requests:     cfg.Metrics.Counter(MetricShardRequestsTotal, label),
@@ -194,9 +194,10 @@ func New(cfg Config) (*Router, error) {
 		}
 		for _, t := range cfg.Replicas {
 			// One single-goroutine worker per shard x replica, over the
-			// shard's live slice of the replicated KB. No fault hook: chaos
+			// shard's partition of the replicated KB. No fault hook: chaos
 			// on the replication path is injected at the Link.
-			rw := newWorker(i, &replicaStore{t: t, shard: i, n: n}, cfg.Sim, cfg.NodeCutoff, 1, nil)
+			view := &replicaView{t: t, shard: i, n: n}
+			rw := newWorker(i, view.store, cfg.Sim, cfg.NodeCutoff, 1, nil)
 			rw.replica = true
 			h.replicas = append(h.replicas, &replicaHandle{t: t, w: rw})
 		}

@@ -53,7 +53,7 @@ func queryFeatures(rng *rand.Rand) []string {
 
 // newTestRouter partitions src n ways and builds a router with the given
 // config overrides applied.
-func newTestRouter(t *testing.T, src kb.Store, n int, mut func(*Config)) *Router {
+func newTestRouter(t *testing.T, src *kb.Memory, n int, mut func(*Config)) *Router {
 	t.Helper()
 	cfg := Config{Stores: PartitionStores(src, n)}
 	if mut != nil {

@@ -59,32 +59,42 @@ type response struct {
 }
 
 // worker is one in-process serving unit: a store partition (or a shard's
-// live slice of a replica), its own classifier state, and a small pool of
-// serving goroutines pulled from one request channel — so a wedged
+// partition of a replica), its own classifier settings, and a small pool
+// of serving goroutines pulled from one request channel — so a wedged
 // request occupies one goroutine while the hedged attempt proceeds on
 // another. Routers also run one worker per shard x replica over the
-// replica's live view; those carry the replica marker for pprof role
-// attribution.
+// replica's current knowledge base; those carry the replica marker for
+// pprof role attribution.
 type worker struct {
 	id      int
 	idStr   string // pre-rendered for pprof labels
-	replica bool   // serving a replica slice, not a primary partition
-	clf     *core.Classifier
+	replica bool   // serving a replica partition, not a primary partition
+	// store returns the partition to rank over: fixed for a primary, the
+	// replica's current one for a replica worker (nil while it has none).
+	store   func() kb.Store
+	sim     core.Similarity
+	cutoff  int
 	reqs    chan request
 	hook    FaultHook
 	quit    chan struct{}
 	closeMu sync.Once
 }
 
+// errNoKB reports a replica attempt that found the replica without a
+// knowledge base (crashed or re-bootstrapping since it was picked).
+var errNoKB = errors.New("shard: replica has no knowledge base to serve")
+
 // newWorker builds and starts one shard with `pool` serving goroutines.
-func newWorker(id int, store kb.Store, sim core.Similarity, cutoff, pool int, hook FaultHook) *worker {
+func newWorker(id int, store func() kb.Store, sim core.Similarity, cutoff, pool int, hook FaultHook) *worker {
 	w := &worker{
-		id:    id,
-		idStr: strconv.Itoa(id),
-		clf:   &core.Classifier{Store: store, Sim: sim, NodeCutoff: cutoff},
-		reqs:  make(chan request),
-		hook:  hook,
-		quit:  make(chan struct{}),
+		id:     id,
+		idStr:  strconv.Itoa(id),
+		store:  store,
+		sim:    sim,
+		cutoff: cutoff,
+		reqs:   make(chan request),
+		hook:   hook,
+		quit:   make(chan struct{}),
 	}
 	for i := 0; i < pool; i++ {
 		go w.loop()
@@ -132,7 +142,12 @@ func (w *worker) answer(ctx context.Context, req request) {
 			return
 		}
 	}
-	known := w.clf.Store.KnownPart(req.partID)
+	store := w.store()
+	if store == nil {
+		req.resp <- response{err: errNoKB}
+		return
+	}
+	known := store.KnownPart(req.partID)
 	if !req.scatter && !known {
 		// Owned mode on a part this shard does not hold: report it so the
 		// router falls back to a scatter query, instead of ranking every
@@ -143,7 +158,8 @@ func (w *worker) answer(ctx context.Context, req request) {
 	// The stage clock rides the request context from the quest middleware;
 	// nil (request logging off) makes the classifier's timing free.
 	sc := reqlog.ClockFrom(ctx)
-	req.resp <- response{nodes: w.clf.RecommendNodesTimed(sc, req.partID, req.features), known: known}
+	clf := core.Classifier{Store: store, Sim: w.sim, NodeCutoff: w.cutoff}
+	req.resp <- response{nodes: clf.RecommendNodesTimed(sc, req.partID, req.features), known: known}
 }
 
 // query dispatches one attempt and waits for the answer or the attempt
