@@ -4,7 +4,7 @@ GO ?= go
 # (BENCH_pr$(PR).json); bump it per PR so benchtrend orders them.
 PR ?= 10
 
-.PHONY: build test vet lint lint-json race crash chaos chaos-repl check bench bench-load bench-alloc bench-trend bench-gate bench-meta prof-smoke
+.PHONY: build test vet fmt-check lint lint-json race crash chaos chaos-repl check bench bench-load bench-alloc bench-trend bench-gate bench-meta prof-smoke
 
 ## build: compile every package and command
 build:
@@ -17,6 +17,12 @@ test:
 ## vet: static analysis
 vet:
 	$(GO) vet ./...
+
+## fmt-check: fail when gofmt would change any tracked root-module file
+## (perfbench is the benchmark's own module and is left out)
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go' | grep -v '^perfbench/')); \
+	  if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 ## lint: project-specific invariants (qatklint); exit 1 on any finding
 lint:
@@ -62,10 +68,10 @@ chaos-repl:
 	CHAOS_ARTIFACT=$(CURDIR)/repl_requests.json $(GO) test -race -count 1 ./internal/repl || \
 	  { [ -f repl_requests.json ] && echo "chaos-repl: tail-sample ring -> repl_requests.json"; exit 1; }
 
-## check: the pre-merge tier — vet, qatklint, the race-enabled suite, the
+## check: the pre-merge tier — vet, gofmt, qatklint, the race-enabled suite, the
 ## crash harness, the shard + replication chaos matrices, the benchmark
 ## module's meta-tests, and the benchmark regression gate
-check: vet lint race crash chaos chaos-repl bench-meta bench-gate
+check: vet fmt-check lint race crash chaos chaos-repl bench-meta bench-gate
 
 # The full benchmark sweep shared by bench (committing a baseline) and
 # bench-gate (comparing a fresh run against one). The root-package paper

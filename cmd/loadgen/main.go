@@ -8,7 +8,7 @@
 //	loadgen -shards 4 -slow-shard 2 -rps 200 -duration 10s | benchjson -o BENCH_pr8.json
 //
 // By default loadgen is self-contained: it synthesizes a deterministic
-// knowledge base, partitions it across -shards in-process shard workers
+// knowledge base, partitions it across -shards in-process shards
 // behind the hedging/breaker router (exactly questd's serving tier), and
 // serves it from an in-process QUEST server — so a run measures the
 // serving architecture, not a network. -slow-shard injects a
@@ -61,7 +61,6 @@ type options struct {
 	slowDelay    time.Duration
 	hedgeAfter   time.Duration
 	shardTimeout time.Duration
-	poolSize     int
 	replicas     int
 	maxApplyLag  time.Duration
 	parts        int
@@ -80,7 +79,6 @@ func main() {
 	flag.DurationVar(&o.slowDelay, "slow-delay", 50*time.Millisecond, "injected primary-attempt delay on -slow-shard")
 	flag.DurationVar(&o.hedgeAfter, "hedge-after", 5*time.Millisecond, "router hedge delay (self-contained mode)")
 	flag.DurationVar(&o.shardTimeout, "shard-timeout", shard.DefaultShardTimeout, "router per-shard deadline (self-contained mode)")
-	flag.IntVar(&o.poolSize, "workers-per-shard", 8, "shard worker-pool size — the in-process replica capacity hedges draw on (self-contained mode)")
 	flag.IntVar(&o.replicas, "replicas", 0, "WAL-shipped read replicas tailing a throwaway persisted primary as hedge/failover targets (0 disables; self-contained mode)")
 	flag.DurationVar(&o.maxApplyLag, "max-apply-lag", shard.DefaultMaxApplyLag, "replica staleness bound (self-contained mode)")
 	flag.IntVar(&o.parts, "parts", 40, "distinct part IDs in the synthetic knowledge base")
@@ -193,20 +191,19 @@ func selfContained(o options, rl *reqlog.Log) (baseURL string, stop func(), err 
 	var hook shard.FaultHook
 	if o.slowShard >= 0 {
 		// FirstAttempts=1 slows only each sub-query's primary attempt: the
-		// hedged second attempt lands on a healthy worker, which is the
-		// tail-rescue this tool exists to demonstrate.
+		// hedged second attempt runs unhindered, which is the tail-rescue
+		// this tool exists to demonstrate.
 		hook = faults.ShardHook(map[int]faults.ShardFault{
 			o.slowShard: {Mode: faults.ShardSlow, Delay: o.slowDelay, FirstAttempts: 1},
 		})
 	}
 	router, err := shard.New(shard.Config{
-		Stores:          shard.PartitionStores(src, o.shards),
-		WorkersPerShard: o.poolSize,
-		ShardTimeout:    o.shardTimeout,
-		HedgeAfter:      o.hedgeAfter,
-		Hook:            hook,
-		Replicas:        targets,
-		MaxApplyLag:     o.maxApplyLag,
+		Stores:       shard.PartitionStores(src, o.shards),
+		ShardTimeout: o.shardTimeout,
+		HedgeAfter:   o.hedgeAfter,
+		Hook:         hook,
+		Replicas:     targets,
+		MaxApplyLag:  o.maxApplyLag,
 	})
 	if err != nil {
 		if repClose != nil {

@@ -233,7 +233,7 @@ func run(o options) error {
 	}
 
 	// The live /api/recommend fan-out tier: the loaded knowledge base is
-	// partitioned by part ID into -shards in-process workers behind the
+	// partitioned by part ID into -shards in-process shards behind the
 	// hedging/breaker router. An untrained knowledge base disables the tier
 	// (the batch-persisted suggestion screens still work) rather than
 	// failing startup.

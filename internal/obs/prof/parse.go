@@ -62,11 +62,11 @@ type Frame struct {
 // FrameDelta is one frame's heap movement between consecutive
 // snapshots.
 type FrameDelta struct {
-	Func        string `json:"func"`
-	DeltaBytes  int64  `json:"delta_bytes"`
-	DeltaValue  int64  `json:"delta_objects"`
-	NowBytes    int64  `json:"now_bytes"`
-	NowValue    int64  `json:"now_objects"`
+	Func       string `json:"func"`
+	DeltaBytes int64  `json:"delta_bytes"`
+	DeltaValue int64  `json:"delta_objects"`
+	NowBytes   int64  `json:"now_bytes"`
+	NowValue   int64  `json:"now_objects"`
 }
 
 // Capture is a frozen ring, the `profiles` section of a flight bundle

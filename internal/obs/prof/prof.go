@@ -101,11 +101,11 @@ type Sampler struct {
 	clock func() time.Time
 	log   *obs.Logger
 
-	captures    *obs.Counter
-	capErrors   *obs.Counter
-	capSeconds  *obs.Histogram
-	ringBytes   *obs.Gauge
-	freezes     *obs.Counter
+	captures   *obs.Counter
+	capErrors  *obs.Counter
+	capSeconds *obs.Histogram
+	ringBytes  *obs.Gauge
+	freezes    *obs.Counter
 
 	// cpuMu serializes CPU windows: the runtime allows one CPU profile at
 	// a time, and a flight freeze's breach-window capture must wait for

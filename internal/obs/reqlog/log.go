@@ -93,12 +93,12 @@ type Log struct {
 	retained  map[string]*obs.Counter
 
 	mu          sync.Mutex
-	ring        []Event  //qatk:guardedby mu
-	next, count int      //qatk:guardedby mu
-	seen        uint64   //qatk:guardedby mu — finished events, for head sampling
-	latCounts   []uint64 //qatk:guardedby mu — rolling latency window (DefBuckets + overflow)
-	latTotal    int      //qatk:guardedby mu
-	thresholdNs int64    //qatk:guardedby mu — 0 until the window has MinCount observations
+	ring        []Event           //qatk:guardedby mu
+	next, count int               //qatk:guardedby mu
+	seen        uint64            //qatk:guardedby mu — finished events, for head sampling
+	latCounts   []uint64          //qatk:guardedby mu — rolling latency window (DefBuckets + overflow)
+	latTotal    int               //qatk:guardedby mu
+	thresholdNs int64             //qatk:guardedby mu — 0 until the window has MinCount observations
 	stageNanos  [numStages]int64  //qatk:guardedby mu — totals across every finished event
 	stageCounts [numStages]uint64 //qatk:guardedby mu
 }

@@ -155,15 +155,18 @@ func TestWithTimeoutBoundsSlowHandlers(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("handler never observed its context deadline")
 	}
+	// WithTimeout counts the timeout before it logs it: wait for the log
+	// line, written last, then check both.
+	const line = `msg="request timed out"`
 	deadline := time.Now().Add(time.Second)
-	for timeouts.Value() == 0 && time.Now().Before(deadline) {
+	for !strings.Contains(logged.String(), line) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
+	}
+	if !strings.Contains(logged.String(), line) {
+		t.Fatalf("timeout not logged: %q", logged.String())
 	}
 	if got := timeouts.Value(); got != 1 {
 		t.Fatalf("timeouts counter = %d, want 1", got)
-	}
-	if !strings.Contains(logged.String(), `msg="request timed out"`) {
-		t.Fatalf("timeout not logged: %q", logged.String())
 	}
 }
 

@@ -1,6 +1,7 @@
 package quest
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 
@@ -17,6 +18,11 @@ import (
 // degradation. The response envelope threads the degradation contract to
 // the client: `degraded` plus `failed_shards` mean the ranking came from
 // the surviving shards only.
+
+// maxRecommendFeatures bounds the distinct features one query may carry.
+// A scatter query scores every node on every shard against them; the
+// largest bag-of-concepts query in the paper-scale generated corpus has 11.
+const maxRecommendFeatures = 1024
 
 type apiRecommendation struct {
 	Part         string          `json:"part"`
@@ -49,13 +55,22 @@ func (s *Server) apiRecommend(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "part parameter required")
 		return
 	}
-	// features may repeat or be comma-separated; both forms compose.
+	// features may repeat or be comma-separated; both forms compose. The
+	// query is a set: the classifier takes its size from len(features), so
+	// a duplicate would lower every Jaccard score.
 	var features []string
+	seen := map[string]bool{}
 	for _, v := range q["features"] {
 		for _, f := range strings.Split(v, ",") {
-			if f = strings.TrimSpace(f); f != "" {
-				features = append(features, f)
+			if f = strings.TrimSpace(f); f == "" || seen[f] {
+				continue
 			}
+			if len(features) == maxRecommendFeatures {
+				apiError(w, http.StatusBadRequest, fmt.Sprintf("more than %d distinct features", maxRecommendFeatures))
+				return
+			}
+			seen[f] = true
+			features = append(features, f)
 		}
 	}
 	if len(features) == 0 {

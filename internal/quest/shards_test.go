@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -219,6 +220,49 @@ func TestAPIRecommend(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing features = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestAPIRecommendFeatureSet: the features parameter is a set. A repeated
+// feature counts once (the classifier takes the query size from the
+// feature count, so a duplicate would lower every Jaccard score), and more
+// than maxRecommendFeatures distinct features are refused with 400.
+func TestAPIRecommendFeatureSet(t *testing.T) {
+	ts, src, _ := shardedServer(t, nil)
+	part := "P03"
+	want := core.New(src, core.Jaccard{}).Recommend(part, []string{"f01", "f05"})
+	var out apiRecommendation
+	if code := getJSON(t, ts.URL+"/api/recommend?part="+part+"&features=f01,f05,f01&features=f05", &out); code != http.StatusOK {
+		t.Fatalf("recommend = %d, want 200", code)
+	}
+	if len(out.Codes) == 0 {
+		t.Fatal("no codes")
+	}
+	for i, c := range out.Codes {
+		if c.Code != want[i].Code || c.Score != want[i].Score {
+			t.Errorf("rank %d: got %s %v, want %s %v", i+1, c.Code, c.Score, want[i].Code, want[i].Score)
+		}
+	}
+
+	feats := make([]string, maxRecommendFeatures+1)
+	for i := range feats {
+		feats[i] = fmt.Sprintf("g%d", i)
+	}
+	for _, tc := range []struct {
+		features string
+		code     int
+	}{
+		{strings.Join(feats[:maxRecommendFeatures], ",") + ",g0", http.StatusOK},
+		{strings.Join(feats, ","), http.StatusBadRequest},
+	} {
+		resp, err := http.Get(ts.URL + "/api/recommend?part=" + part + "&features=" + tc.features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("%d features = %d, want %d", strings.Count(tc.features, ",")+1, resp.StatusCode, tc.code)
+		}
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/reqlog"
-	"repro/internal/repl"
 	"repro/internal/reldb"
+	"repro/internal/repl"
 	"repro/internal/shard"
 	"repro/internal/vfs"
 )

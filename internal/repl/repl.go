@@ -3,9 +3,8 @@
 // write-ahead log from a primary to N read replicas, each applying
 // records into its own reldb instance behind the vfs.FS seam. The paper's
 // QUEST tool serves classification interactively from a relational store
-// (§4.5.1); replicas are what turn the sharded serving tier's in-process
-// "second worker" stand-in into real failover targets with bounded
-// staleness.
+// (§4.5.1); replicas give the sharded serving tier hedge and failover
+// targets with bounded staleness.
 //
 // The contract is pull-based and divergence-intolerant. A replica
 // bootstraps by streaming the primary's full state at generation n plus

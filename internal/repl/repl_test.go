@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"repro/internal/kb"
-	"repro/internal/repl"
 	"repro/internal/reldb"
+	"repro/internal/repl"
 )
 
 // newPrimary opens a durable primary in a temp dir with the KB schema and

@@ -209,8 +209,8 @@ func TestChaosSlowShard(t *testing.T) {
 	}
 	t.Run("owning", func(t *testing.T) {
 		e := newChaosEnv(t, nil)
-		// Slow only the first attempt: the hedge goes to another worker
-		// ("replica") that answers immediately.
+		// Slow only the first attempt: the hedge runs on its own
+		// goroutine and answers immediately.
 		e.hook.set(faults.ShardHook(map[int]faults.ShardFault{
 			e.owner: {Mode: faults.ShardSlow, Delay: 200 * time.Millisecond, FirstAttempts: 1},
 		}))

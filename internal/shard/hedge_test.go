@@ -3,11 +3,14 @@ package shard
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/kb"
 )
 
@@ -97,7 +100,7 @@ func TestHedgeCancelsLosingAttempt(t *testing.T) {
 		t.Errorf("losing attempt ctx.Err() = %v, want context.Canceled", err)
 	}
 
-	// Closing the router must reclaim every worker and attempt goroutine.
+	// Closing the router must reclaim every attempt goroutine.
 	r.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -108,5 +111,73 @@ func TestHedgeCancelsLosingAttempt(t *testing.T) {
 			t.Fatalf("goroutine leak: %d before, %d after close", before, n)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestHedgeNotStarvedByWedgedPrimaries: every attempt runs on its own
+// goroutine, so concurrent queries whose primaries are all wedged are each
+// answered by their hedge after HedgeAfter, not after the shard timeout.
+func TestHedgeNotStarvedByWedgedPrimaries(t *testing.T) {
+	src := buildKB(5, 12, 10, 250)
+	r := newTestRouter(t, src, 1, func(cfg *Config) {
+		cfg.HedgeAfter = 2 * time.Millisecond
+		cfg.ShardTimeout = 400 * time.Millisecond
+		cfg.Hook = wedgePrimaries
+	})
+	part, feats := "P004", []string{"f03", "f11", "f27"}
+	want := core.New(src, core.Jaccard{}).Recommend(part, feats)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			res, err := r.Query(context.Background(), part, feats)
+			elapsed := time.Since(start)
+			switch {
+			case err != nil:
+				t.Error(err)
+			case !res.Hedged || res.Degraded:
+				t.Errorf("hedged=%v degraded=%v, want true/false", res.Hedged, res.Degraded)
+			case !reflect.DeepEqual(res.Codes, want):
+				t.Errorf("hedged ranking diverged\n got %v\nwant %v", res.Codes, want)
+			case elapsed >= 100*time.Millisecond:
+				t.Errorf("query took %v behind a wedged primary, want the hedge to answer well inside the 400ms shard timeout", elapsed)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCloseWithQueryInFlight: Close may run while a query is in flight
+// (questd's drain can time out). It returns only once the running attempt
+// has left the fault hook, and the hedge the query launches after Close
+// fails instead of outliving it.
+func TestCloseWithQueryInFlight(t *testing.T) {
+	src := buildKB(5, 12, 10, 250)
+	entered := make(chan struct{}, 1)
+	var exited atomic.Bool
+	r := newTestRouter(t, src, 1, func(cfg *Config) {
+		cfg.HedgeAfter = 20 * time.Millisecond
+		cfg.ShardTimeout = 50 * time.Millisecond
+		cfg.Hook = func(ctx context.Context, shard, attempt int) error {
+			entered <- struct{}{}
+			<-ctx.Done()
+			exited.Store(true)
+			return ctx.Err()
+		}
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Query(context.Background(), "P004", []string{"f03"})
+		done <- err
+	}()
+	<-entered
+	r.Close()
+	if !exited.Load() {
+		t.Error("Close returned while an attempt was still in the fault hook")
+	}
+	if err := <-done; !errors.Is(err, ErrAllShardsFailed) {
+		t.Fatalf("query across Close = %v, want ErrAllShardsFailed", err)
 	}
 }

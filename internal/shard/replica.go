@@ -91,30 +91,23 @@ func (v *replicaView) store() kb.Store {
 	return v.part
 }
 
-// replicaHandle is one shard's serving wrapper around one replica: a
-// single-goroutine worker over the shard's partition of that replica.
-type replicaHandle struct {
-	t ReplicaTarget
-	w *worker
-}
-
 // pickReplica chooses the serving replica for shard h: the ready target
 // with the smallest apply lag, optionally restricted to fresh ones (lag
 // within MaxApplyLag). The second return is the chosen target's lag at
 // pick time — the staleness verdict the response carries.
-func (r *Router) pickReplica(h *handle, requireFresh bool) (*replicaHandle, time.Duration) {
-	var best *replicaHandle
+func (r *Router) pickReplica(h *handle, requireFresh bool) (*replicaView, time.Duration) {
+	var best *replicaView
 	var bestLag time.Duration
-	for _, rh := range h.replicas {
-		if !rh.t.Ready() {
+	for _, rv := range h.replicas {
+		if !rv.t.Ready() {
 			continue
 		}
-		lag := rh.t.ApplyLag()
+		lag := rv.t.ApplyLag()
 		if requireFresh && lag > r.cfg.MaxApplyLag {
 			continue
 		}
 		if best == nil || lag < bestLag {
-			best, bestLag = rh, lag
+			best, bestLag = rv, lag
 		}
 	}
 	return best, bestLag

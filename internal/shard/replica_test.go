@@ -36,7 +36,7 @@ func (f *fakeReplica) Store() *kb.Memory {
 }
 
 // wedgePrimaries blocks every attempt-1 sub-query until its attempt
-// context expires; hedges (and hookless replica workers) proceed.
+// context expires; hedges (and hookless replica attempts) proceed.
 func wedgePrimaries(ctx context.Context, shard, attempt int) error {
 	if attempt == 1 {
 		<-ctx.Done()
@@ -101,7 +101,7 @@ func TestHedgeAvoidsStaleReplica(t *testing.T) {
 		t.Fatalf("query: %v", err)
 	}
 	// The only replica lags beyond the bound, so the hedge must fall back
-	// to the shard's own second worker — not quietly serve stale.
+	// to a second attempt at the shard itself — not quietly serve stale.
 	if !res.Hedged {
 		t.Fatal("expected a hedged answer")
 	}

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,7 +25,6 @@ import (
 const (
 	DefaultShardTimeout    = 250 * time.Millisecond
 	DefaultHedgeAfter      = 20 * time.Millisecond
-	DefaultWorkersPerShard = 2
 	DefaultBreakerBudget   = 5
 	DefaultBreakerCooldown = time.Second
 )
@@ -38,15 +38,9 @@ var ErrAllShardsFailed = errors.New("shard: all shards failed")
 // Config wires a Router.
 type Config struct {
 	// Stores holds one partition per shard (PartitionStores produces
-	// them); its length is the shard count.
+	// them); its length is the shard count. Shards rank with core.Jaccard{}
+	// and cut to core.DefaultNodeCutoff nodes, as the unsharded classifier.
 	Stores []kb.Store
-	// Sim is the similarity measure (default core.Jaccard{}); NodeCutoff
-	// caps best-scored nodes per shard (0 = core.DefaultNodeCutoff).
-	Sim        core.Similarity
-	NodeCutoff int
-	// WorkersPerShard sizes each shard's serving pool (default 2): the
-	// second worker is what lets a hedged attempt overtake a wedged one.
-	WorkersPerShard int
 	// ShardTimeout bounds each attempt; the effective per-attempt deadline
 	// is the smaller of ShardTimeout and the request context's remaining
 	// budget (default 250ms).
@@ -86,13 +80,15 @@ type Config struct {
 
 // handle is one shard with its robustness wrapping.
 type handle struct {
-	worker  *worker
+	idx     int
+	id      string // idx, pre-rendered for labels
+	store   kb.Store
 	breaker *Breaker
 	nodes   int
-	// replicas are this shard's serving wrappers over the configured
-	// replica targets, consulted for hedged attempts (fresh only) and
-	// last-resort rescues (stale allowed, flagged).
-	replicas []*replicaHandle
+	// replicas are this shard's cuts of the configured replica targets,
+	// consulted for hedged attempts (fresh only) and last-resort rescues
+	// (stale allowed, flagged).
+	replicas []*replicaView
 
 	requests     *obs.Counter
 	failures     *obs.Counter
@@ -111,6 +107,13 @@ type handle struct {
 type Router struct {
 	cfg    Config
 	shards []*handle
+
+	// attempts counts running attempt goroutines. Add happens only under
+	// mu while the router is open, so Close's Wait never races an Add at
+	// zero, even with queries still in flight.
+	mu       sync.Mutex
+	closed   bool //qatk:guardedby mu
+	attempts sync.WaitGroup
 
 	duration *obs.Histogram
 	inflight *obs.Gauge
@@ -154,16 +157,10 @@ type ShardHealth struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// New builds and starts a router over cfg.Stores. Callers must Close it.
+// New builds a router over cfg.Stores. Callers must Close it.
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Stores) == 0 {
 		return nil, fmt.Errorf("shard: no stores")
-	}
-	if cfg.Sim == nil {
-		cfg.Sim = core.Jaccard{}
-	}
-	if cfg.WorkersPerShard <= 0 {
-		cfg.WorkersPerShard = DefaultWorkersPerShard
 	}
 	if cfg.ShardTimeout <= 0 {
 		cfg.ShardTimeout = DefaultShardTimeout
@@ -180,9 +177,12 @@ func New(cfg Config) (*Router, error) {
 	}
 	n := len(cfg.Stores)
 	for i, store := range cfg.Stores {
-		label := obs.L("shard", strconv.Itoa(i))
+		id := strconv.Itoa(i)
+		label := obs.L("shard", id)
 		h := &handle{
-			worker:       newWorker(i, func() kb.Store { return store }, cfg.Sim, cfg.NodeCutoff, cfg.WorkersPerShard, cfg.Hook),
+			idx:          i,
+			id:           id,
+			store:        store,
 			breaker:      NewBreaker(cfg.BreakerBudget, cfg.BreakerCooldown, cfg.Clock),
 			nodes:        store.NodeCount(),
 			requests:     cfg.Metrics.Counter(MetricShardRequestsTotal, label),
@@ -193,13 +193,7 @@ func New(cfg Config) (*Router, error) {
 			replicaReads: cfg.Metrics.Counter(MetricShardReplicaReadsTotal, label),
 		}
 		for _, t := range cfg.Replicas {
-			// One single-goroutine worker per shard x replica, over the
-			// shard's partition of the replicated KB. No fault hook: chaos
-			// on the replication path is injected at the Link.
-			view := &replicaView{t: t, shard: i, n: n}
-			rw := newWorker(i, view.store, cfg.Sim, cfg.NodeCutoff, 1, nil)
-			rw.replica = true
-			h.replicas = append(h.replicas, &replicaHandle{t: t, w: rw})
+			h.replicas = append(h.replicas, &replicaView{t: t, shard: i, n: n})
 		}
 		r.shards = append(r.shards, h)
 	}
@@ -209,15 +203,28 @@ func New(cfg Config) (*Router, error) {
 // Shards reports the shard count.
 func (r *Router) Shards() int { return len(r.shards) }
 
-// Close stops every shard's worker pool, replica workers included (the
-// replicas themselves — the apply loops — belong to their owner).
+// Close waits for every attempt goroutine the router started to exit;
+// attempts launched after it fail with errClosed. It is safe to call more
+// than once and while queries are in flight: their running attempts end
+// within ShardTimeout. The replicas themselves (the apply loops) belong to
+// their owner.
 func (r *Router) Close() {
-	for _, h := range r.shards {
-		h.worker.close()
-		for _, rh := range h.replicas {
-			rh.w.close()
-		}
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
+	r.attempts.Wait()
+}
+
+// admit counts one more attempt goroutine, which must call
+// r.attempts.Done on exit; it reports false once the router is closed.
+func (r *Router) admit() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return false
 	}
+	r.attempts.Add(1)
+	return true
 }
 
 // Health reports every shard's breaker state and counters.
@@ -272,7 +279,7 @@ func (r *Router) Query(ctx context.Context, partID string, features []string) (*
 
 	sc := reqlog.ClockFrom(ctx)
 	owner := kb.PartOwner(partID, len(r.shards))
-	out, hedged, err := r.queryShard(ctx, span, owner, partID, features, false)
+	out, hedged, err := r.queryShard(ctx, span, r.shards[owner], partID, features, false)
 	res.Hedged = res.Hedged || hedged
 	if err == nil && out.known {
 		res.Replica, res.Stale = out.replica, out.stale
@@ -308,7 +315,7 @@ func (r *Router) Query(ctx context.Context, partID string, features []string) (*
 		}
 		dispatched++
 		go func(i int) {
-			o, hg, e := r.queryShard(ctx, span, i, partID, features, true)
+			o, hg, e := r.queryShard(ctx, span, r.shards[i], partID, features, true)
 			ch <- scatterOut{idx: i, out: o, hedged: hg, err: e}
 		}(i)
 	}
@@ -330,12 +337,8 @@ func (r *Router) Query(ctx context.Context, partID string, features []string) (*
 		qerr = fmt.Errorf("%w: part %q", ErrAllShardsFailed, partID)
 		return nil, qerr
 	}
-	cutoff := r.cfg.NodeCutoff
-	if cutoff <= 0 {
-		cutoff = core.DefaultNodeCutoff
-	}
 	t := sc.Start()
-	merged := mergeNodes(lists, cutoff)
+	merged := mergeNodes(lists, core.DefaultNodeCutoff)
 	t = sc.Lap(reqlog.StageMerge, t)
 	res.Codes = core.CodesFromNodes(merged)
 	sc.Lap(reqlog.StageDedup, t)
@@ -393,7 +396,7 @@ type attemptOut struct {
 	err     error
 }
 
-// queryShard runs one robust sub-query against shard idx: breaker
+// queryShard runs one robust sub-query against shard h: breaker
 // admission, a per-attempt deadline derived from the request budget, and
 // a hedged second attempt after HedgeAfter (first-response-wins, the
 // loser cancelled via its attempt context). A fresh replica — ready and
@@ -403,79 +406,40 @@ type attemptOut struct {
 // lags beyond the bound. The breaker records one outcome per sub-query,
 // not per attempt, and a rescue never resets it: the primary is still
 // broken. The bool reports whether a hedged attempt was issued.
-func (r *Router) queryShard(ctx context.Context, parent *obs.Span, idx int, partID string, features []string, scatter bool) (response, bool, error) {
-	h := r.shards[idx]
+func (r *Router) queryShard(ctx context.Context, parent *obs.Span, h *handle, partID string, features []string, scatter bool) (response, bool, error) {
 	h.requests.Inc()
-	// The wide-event builder rides the request context; everything it needs
-	// beyond the attempt outcome itself (breaker state at admission, the
-	// effective deadline) is computed only when request logging is on.
-	rb := reqlog.From(ctx)
-	var bstate string
-	if rb != nil {
-		bstate = h.breaker.State()
+	// The wide-event builder rides the request context; the breaker state
+	// at admission is read only when request logging is on.
+	q := &subQuery{h: h, parent: parent, partID: partID, features: features, scatter: scatter, rb: reqlog.From(ctx)}
+	if q.rb != nil {
+		q.bstate = h.breaker.State()
 	}
 	if !h.breaker.Allow() {
 		h.failures.Inc()
-		rb.Attempt(reqlog.ShardAttempt{Shard: idx, Breaker: bstate, Err: ErrShardBroken.Error()})
-		if out, ok := r.rescue(ctx, parent, h, idx, partID, features, scatter, bstate); ok {
+		q.rb.Attempt(reqlog.ShardAttempt{Shard: h.idx, Breaker: q.bstate, Err: ErrShardBroken.Error()})
+		if out, ok := r.rescue(ctx, q); ok {
 			return out, false, nil
 		}
-		return response{}, false, fmt.Errorf("%w: shard %d", ErrShardBroken, idx)
+		return response{}, false, fmt.Errorf("%w: shard %d", ErrShardBroken, h.idx)
 	}
 
-	outc := make(chan attemptOut, 2)
-	cancels := make([]context.CancelFunc, 0, 2)
-	defer func() {
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}()
-	launch := func(attempt int, w *worker, replicaID string) {
-		actx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
-		cancels = append(cancels, cancel)
-		spanLabels := []obs.Label{
-			obs.L("shard", strconv.Itoa(idx)),
-			obs.L("attempt", strconv.Itoa(attempt)),
-		}
-		if replicaID != "" {
-			spanLabels = append(spanLabels, obs.L("replica", replicaID))
-		}
-		span := r.cfg.Tracer.Start(parent, spanShardAttempt, spanLabels...)
-		var astart time.Time
-		var deadline time.Duration
-		if rb != nil {
-			astart = time.Now()
-			deadline = r.cfg.ShardTimeout
-			if d, ok := ctx.Deadline(); ok {
-				if rem := time.Until(d); rem < deadline {
-					deadline = rem
-				}
-			}
+	// Attempts run under actx, cancelled once the sub-query is settled, so
+	// a losing attempt unwinds while the winner is served.
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	outc := make(chan attemptOut, 2) // one send per attempt: never blocks
+	launch := func(n int, rv *replicaView) {
+		if !r.admit() {
+			outc <- attemptOut{attempt: n, err: errClosed}
+			return
 		}
 		go func() {
-			out, err := w.query(actx, partID, features, scatter, attempt)
-			if err == nil && replicaID != "" {
-				out.replica = true
-			}
-			span.End(err)
-			// Record the attempt before handing the outcome to the select
-			// loop, so a winning attempt is already in the event when the
-			// loop marks it. A cancelled loser records its cancellation; a
-			// loser drained after Finish is harmlessly dropped.
-			if rb != nil {
-				a := reqlog.ShardAttempt{
-					Shard: idx, Attempt: attempt, Hedged: attempt > 1, Replica: replicaID,
-					Breaker: bstate, Deadline: deadline, Duration: time.Since(astart),
-				}
-				if err != nil {
-					a.Err = err.Error()
-				}
-				rb.Attempt(a)
-			}
-			outc <- attemptOut{attempt: attempt, out: out, err: err}
+			defer r.attempts.Done()
+			out, err := r.attempt(actx, q, n, rv)
+			outc <- attemptOut{attempt: n, out: out, err: err}
 		}()
 	}
-	launch(1, h.worker, "")
+	launch(1, nil)
 
 	var hedgeC <-chan time.Time
 	if r.cfg.HedgeAfter > 0 {
@@ -490,16 +454,15 @@ func (r *Router) queryShard(ctx context.Context, parent *obs.Span, idx int, part
 		hedgeC = nil
 		hedged = true
 		h.hedges.Inc()
-		// A fresh replica beats the shard's own second worker as the hedge
-		// target: it cannot be wedged on the same state the primary attempt
-		// is stuck on. Staleness beyond the bound disqualifies — hedges
-		// must not quietly trade latency for freshness.
-		if rh, _ := r.pickReplica(h, true); rh != nil {
+		// A fresh replica beats a second attempt at the shard itself as the
+		// hedge target: it cannot be wedged on the same state the primary
+		// attempt is stuck on. Staleness beyond the bound disqualifies —
+		// hedges must not quietly trade latency for freshness.
+		rv, _ := r.pickReplica(h, true)
+		if rv != nil {
 			h.replicaReads.Inc()
-			launch(2, rh.w, rh.t.ID())
-		} else {
-			launch(2, h.worker, "")
 		}
+		launch(2, rv)
 		pending++
 	}
 	for {
@@ -509,15 +472,13 @@ func (r *Router) queryShard(ctx context.Context, parent *obs.Span, idx int, part
 		case ao := <-outc:
 			pending--
 			if ao.err == nil {
-				// First response wins: cancel the loser (its context) and
-				// let its goroutine drain into the buffered channel.
-				for _, cancel := range cancels {
-					cancel()
-				}
+				// First response wins: cancel the loser and let its
+				// goroutine drain into the buffered channel.
+				cancel()
 				if ao.attempt == 2 {
 					h.hedgeWins.Inc()
 				}
-				rb.MarkWinner(idx, ao.attempt)
+				q.rb.MarkWinner(h.idx, ao.attempt)
 				h.breaker.Success()
 				h.stallLatched.Store(false)
 				return ao.out, hedged, nil
@@ -531,74 +492,52 @@ func (r *Router) queryShard(ctx context.Context, parent *obs.Span, idx int, part
 				hedge()
 				continue
 			}
-			ferr := r.shardFailed(ctx, h, idx, ao.err)
-			if out, ok := r.rescue(ctx, parent, h, idx, partID, features, scatter, bstate); ok {
+			ferr := r.shardFailed(ctx, h, ao.err)
+			if out, ok := r.rescue(ctx, q); ok {
 				return out, hedged, nil
 			}
 			return response{}, hedged, ferr
 		case <-ctx.Done():
 			// The request budget expired; attempt contexts are children
-			// of ctx, so the workers unwind on their own — and there is no
-			// budget left to spend on a rescue.
-			return response{}, hedged, r.shardFailed(ctx, h, idx, ctx.Err())
+			// of ctx, so the attempts unwind on their own — and there is
+			// no budget left to spend on a rescue.
+			return response{}, hedged, r.shardFailed(ctx, h, ctx.Err())
 		}
 	}
 }
 
 // rescue is the last line of the degradation ladder: after the shard
 // itself failed (or its breaker rejected the sub-query), serve from the
-// best available replica — ready, smallest apply lag, stale allowed. A
-// stale rescue is flagged on the response (stale: true in the envelope)
-// rather than refused: a consistent-but-outdated answer beats no answer,
-// and never diverges (the replica holds an exact prefix of the primary's
-// history). Rescue success deliberately leaves the breaker and the stall
-// latch untouched — the primary shard is still broken.
-func (r *Router) rescue(ctx context.Context, parent *obs.Span, h *handle, idx int, partID string, features []string, scatter bool, bstate string) (response, bool) {
+// best available replica — ready, smallest apply lag, stale allowed — on
+// the calling goroutine. A stale rescue is flagged on the response
+// (stale: true in the envelope) rather than refused: a
+// consistent-but-outdated answer beats no answer, and never diverges (the
+// replica holds an exact prefix of the primary's history). Rescue success
+// deliberately leaves the breaker and the stall latch untouched — the
+// primary shard is still broken.
+func (r *Router) rescue(ctx context.Context, q *subQuery) (response, bool) {
 	if ctx.Err() != nil {
 		return response{}, false
 	}
-	rh, lag := r.pickReplica(h, false)
-	if rh == nil {
+	rv, lag := r.pickReplica(q.h, false)
+	if rv == nil {
 		return response{}, false
 	}
 	const attempt = 3 // after the primary (1) and the hedge (2)
-	h.replicaReads.Inc()
-	actx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
-	defer cancel()
-	span := r.cfg.Tracer.Start(parent, spanShardAttempt,
-		obs.L("shard", strconv.Itoa(idx)),
-		obs.L("attempt", strconv.Itoa(attempt)),
-		obs.L("replica", rh.t.ID()))
-	rb := reqlog.From(ctx)
-	var astart time.Time
-	if rb != nil {
-		astart = time.Now()
-	}
-	out, err := rh.w.query(actx, partID, features, scatter, attempt)
-	span.End(err)
-	if rb != nil {
-		a := reqlog.ShardAttempt{
-			Shard: idx, Attempt: attempt, Replica: rh.t.ID(),
-			Breaker: bstate, Deadline: r.cfg.ShardTimeout, Duration: time.Since(astart),
-		}
-		if err != nil {
-			a.Err = err.Error()
-		}
-		rb.Attempt(a)
-	}
+	q.h.replicaReads.Inc()
+	out, err := r.attempt(ctx, q, attempt, rv)
 	if err != nil {
 		r.cfg.Logger.Warn("replica rescue failed",
-			obs.L("shard", strconv.Itoa(idx)),
-			obs.L("replica", rh.t.ID()),
+			obs.L("shard", q.h.id),
+			obs.L("replica", rv.t.ID()),
 			obs.L("err", err.Error()))
 		return response{}, false
 	}
-	out.replica = true
 	out.stale = lag > r.cfg.MaxApplyLag
-	rb.MarkWinner(idx, attempt)
+	q.rb.MarkWinner(q.h.idx, attempt)
 	r.cfg.Logger.Warn("sub-query rescued by replica",
-		obs.L("shard", strconv.Itoa(idx)),
-		obs.L("replica", rh.t.ID()),
+		obs.L("shard", q.h.id),
+		obs.L("replica", rv.t.ID()),
 		obs.L("stale", strconv.FormatBool(out.stale)))
 	return out, true
 }
@@ -606,9 +545,9 @@ func (r *Router) rescue(ctx context.Context, parent *obs.Span, h *handle, idx in
 // shardFailed accounts one sub-query failure: counters, breaker, the
 // stall hard trigger on deadline expiry, and the breaker-trip hard
 // trigger, both latched to state transitions.
-func (r *Router) shardFailed(ctx context.Context, h *handle, idx int, err error) error {
+func (r *Router) shardFailed(ctx context.Context, h *handle, err error) error {
 	h.failures.Inc()
-	shardLabel := obs.L("shard", strconv.Itoa(h.worker.id))
+	shardLabel := obs.L("shard", h.id)
 	if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 		// Every attempt burned its per-shard deadline while the request
 		// budget was still live: the shard is wedged, not the client.
@@ -621,7 +560,7 @@ func (r *Router) shardFailed(ctx context.Context, h *handle, idx int, err error)
 	r.cfg.Logger.Warn("shard sub-query failed", shardLabel, obs.L("err", err.Error()))
 	if tripped := h.breaker.Failure(err); tripped {
 		h.breakerOpens.Inc()
-		reqlog.From(ctx).BreakerTrip(h.worker.id)
+		reqlog.From(ctx).BreakerTrip(h.idx)
 		r.cfg.Logger.Error("shard circuit breaker tripped",
 			shardLabel, obs.L("err", err.Error()))
 		r.cfg.Flight.Trigger(flight.ReasonCircuitBreaker,
@@ -629,5 +568,5 @@ func (r *Router) shardFailed(ctx context.Context, h *handle, idx int, err error)
 			obs.L("tier", "shard-router"),
 			obs.L("err", err.Error()))
 	}
-	return fmt.Errorf("shard %d: %w", idx, err)
+	return fmt.Errorf("shard %d: %w", h.idx, err)
 }
