@@ -4,7 +4,6 @@
 //	qatk -data ./data train                   build + persist the knowledge base
 //	qatk -data ./data classify                classify pending bundles, store suggestions
 //	qatk -data ./data recommend -ref R000042  print the ranked codes for one bundle
-//	qatk -data ./data sql "SELECT COUNT(*) FROM bundles"
 //	qatk -data ./data export                  dump bundles as TSV interchange files
 //	qatk -data ./data import                  load bundles from TSV interchange files
 //	qatk diagnose <bundle>                    render a flight-recorder bundle as an incident report
@@ -285,31 +284,6 @@ func run(o options, cmd string, rest []string) error {
 	db.Instrument(logger, metrics)
 	db.WithFlight(recorder)
 
-	if cmd == "sql" {
-		if len(rest) != 1 {
-			return fmt.Errorf("usage: qatk sql <statement>")
-		}
-		res, n, err := db.Exec(rest[0])
-		if err != nil {
-			return err
-		}
-		if res == nil {
-			fmt.Printf("%d rows affected\n", n)
-			return nil
-		}
-		for _, c := range res.Cols {
-			fmt.Printf("%v\t", c)
-		}
-		fmt.Println()
-		for _, row := range res.Rows {
-			for _, v := range row {
-				fmt.Printf("%v\t", v)
-			}
-			fmt.Println()
-		}
-		return nil
-	}
-
 	tax, err := taxonomy.LoadFile(filepath.Join(o.data, "taxonomy.xml"))
 	if err != nil {
 		return err
@@ -499,6 +473,6 @@ func run(o options, cmd string, rest []string) error {
 			1000*res.SecPerBundle, res.KBNodes)
 		return nil
 	default:
-		return fmt.Errorf("unknown command %q (train | classify | recommend | evaluate | export | import | sql | diagnose | requests | prof)", cmd)
+		return fmt.Errorf("unknown command %q (train | classify | recommend | evaluate | export | import | diagnose | requests | prof)", cmd)
 	}
 }

@@ -15,8 +15,8 @@ import (
 // inside exported functions and methods, and in exported package-level
 // sentinel variables. Errors built by unexported helpers are exempt — the
 // contract there is that the exported entry point wraps them once with
-// the package prefix (e.g. reldb.Exec wrapping its parser's errors), and
-// prefixing both layers would double-attribute every message.
+// the package prefix (e.g. reldb.ApplyFrame wrapping applyRecord's
+// errors), and prefixing both layers would double-attribute every message.
 var ErrAttr = &Analyzer{
 	Name: "errattr",
 	Doc: "errors born at an internal package's boundary (exported funcs, exported sentinels) " +

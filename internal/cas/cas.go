@@ -158,12 +158,6 @@ func (c *CAS) Select(typeName string) []*Annotation {
 	return out
 }
 
-// SelectAll returns all annotations in document order.
-func (c *CAS) SelectAll() []*Annotation {
-	c.ensureSorted()
-	return append([]*Annotation(nil), c.annotations...)
-}
-
 // SelectCovered returns annotations of the given type fully inside [begin,end).
 func (c *CAS) SelectCovered(typeName string, begin, end int) []*Annotation {
 	c.ensureSorted()

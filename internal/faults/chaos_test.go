@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/cas"
 	"repro/internal/pipeline"
@@ -108,44 +107,6 @@ func TestChaosCollectionRun(t *testing.T) {
 	}
 	if len(consumed) != stats.Processed {
 		t.Fatalf("consumer saw %d documents, stats say %d", len(consumed), stats.Processed)
-	}
-}
-
-// TestChaosRetryAbsorbsTransientFaults: with transient injection and a
-// retry policy whose predicate trusts the error's own transience marker,
-// virtually every document survives a 30% per-attempt error rate.
-func TestChaosRetryAbsorbsTransientFaults(t *testing.T) {
-	const nDocs = 500
-	in := NewInjector(7, Config{ErrorRate: 0.30, Transient: true})
-	retryTransient := func(err error) bool {
-		var ie *InjectedError
-		return errors.As(err, &ie) && ie.Transient
-	}
-	re := pipeline.Retry(in.Engine(markEngine("annotator")), pipeline.Policy{
-		MaxAttempts: 8,
-		Retryable:   retryTransient,
-		Sleep:       func(time.Duration) {},
-	})
-	p, err := pipeline.New(re)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := p.RunWithConfig(
-		context.Background(),
-		&pipeline.SliceReader{CASes: makeDocs(nDocs)}, nil,
-		pipeline.RunConfig{DeadLetter: func(pipeline.DeadLetter) error { return nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Retried == 0 {
-		t.Fatal("no retries recorded under 30% transient injection")
-	}
-	// 8 attempts at a 30% failure rate: per-document failure ~0.3^8 ≈ 7e-5.
-	if stats.DeadLettered > nDocs/50 {
-		t.Fatalf("retry failed to absorb transient faults: %v", stats)
-	}
-	if stats.Processed+stats.DeadLettered != stats.Read {
-		t.Fatalf("stats do not reconcile: %v", stats)
 	}
 }
 

@@ -302,14 +302,8 @@ func (r *Recorder) ObserveLatency(d time.Duration) {
 	if r == nil || r.cfg.SLOTarget <= 0 {
 		return
 	}
-	s := d.Seconds()
+	i := obs.DefBucketIndex(d.Seconds())
 	r.sloMu.Lock()
-	i := 0
-	for ; i < len(obs.DefBuckets); i++ {
-		if s <= obs.DefBuckets[i] {
-			break
-		}
-	}
 	r.sloCounts[i]++
 	r.sloTotal++
 	r.sloMu.Unlock()
@@ -334,21 +328,7 @@ func (r *Recorder) sloWindowResult(now time.Time) (float64, bool, bool) {
 	if total < r.cfg.SLOMinSamples {
 		return 0, false, true
 	}
-	// p99 estimate: upper bound of the first bucket whose cumulative
-	// count covers the 99th percentile; observations beyond the last
-	// bound report the last bound ("at least").
-	need := uint64((99*total + 99) / 100)
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum >= need {
-			if i < len(obs.DefBuckets) {
-				return obs.DefBuckets[i], true, true
-			}
-			return obs.DefBuckets[len(obs.DefBuckets)-1], true, true
-		}
-	}
-	return 0, false, true
+	return obs.DefBucketP99(counts), true, true
 }
 
 // --- stall guards --------------------------------------------------------

@@ -44,6 +44,38 @@ func (k metricKind) String() string {
 // seconds, spanning sub-millisecond handlers to multi-second stragglers.
 var DefBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
+// DefBucketIndex returns the DefBuckets bucket that counts an observation
+// of seconds: the first bound at or above it (le is inclusive, as in
+// Histogram.Observe), or len(DefBuckets) for the overflow bucket.
+func DefBucketIndex(seconds float64) int {
+	for i, b := range DefBuckets {
+		if seconds <= b {
+			return i
+		}
+	}
+	return len(DefBuckets)
+}
+
+// DefBucketP99 estimates the 99th percentile of per-bucket counts indexed
+// by DefBucketIndex (len(DefBuckets)+1 of them): the upper bound of the
+// first bucket whose cumulative count covers it. Observations beyond the
+// last bound report the last bound ("at least").
+func DefBucketP99(counts []uint64) float64 {
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
+	need := (99*total + 99) / 100
+	var cum uint64
+	for i, c := range counts[:len(DefBuckets)] {
+		cum += c
+		if cum >= need {
+			return DefBuckets[i]
+		}
+	}
+	return DefBuckets[len(DefBuckets)-1]
+}
+
 // Scrape self-instrumentation: every WriteProm pass counts itself and
 // observes its own rendering cost, so the price of the exposition is
 // visible in the exposition. The histogram is observed after the render

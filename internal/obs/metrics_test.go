@@ -159,6 +159,40 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestDefBucketP99: the p99 rule the flight SLO watchdog and the request
+// log's tail threshold share. A value on a bound lands in that bucket;
+// the estimate is the bound of the first bucket covering 99% of counts,
+// and overflow reports the last bound.
+func TestDefBucketP99(t *testing.T) {
+	fast, slow := DefBuckets[1], DefBuckets[5]
+	if got := DefBucketIndex(fast); got != 1 {
+		t.Errorf("DefBucketIndex(%g) = %d, want 1", fast, got)
+	}
+	if got := DefBucketIndex(fast + 1e-9); got != 2 {
+		t.Errorf("DefBucketIndex just above %g = %d, want 2", fast, got)
+	}
+	last := DefBuckets[len(DefBuckets)-1]
+	if got := DefBucketIndex(2 * last); got != len(DefBuckets) {
+		t.Errorf("DefBucketIndex(%g) = %d, want overflow %d", 2*last, got, len(DefBuckets))
+	}
+	for _, c := range []struct {
+		fast, slow uint64
+		slowAt     float64
+		want       float64
+	}{
+		{99, 1, slow, fast},
+		{98, 2, slow, slow},
+		{98, 2, 2 * last, last},
+	} {
+		counts := make([]uint64, len(DefBuckets)+1)
+		counts[DefBucketIndex(fast)] += c.fast
+		counts[DefBucketIndex(c.slowAt)] += c.slow
+		if got := DefBucketP99(counts); got != c.want {
+			t.Errorf("%d at %g + %d at %g: p99 = %g, want %g", c.fast, fast, c.slow, c.slowAt, got, c.want)
+		}
+	}
+}
+
 // TestNilRegistryIsNoOp: the disabled state hands out nil handles whose
 // methods do nothing — the contract the pipeline hot path relies on.
 func TestNilRegistryIsNoOp(t *testing.T) {

@@ -229,14 +229,7 @@ func retentionReasons(ev Event, all, head bool, slow time.Duration) []string {
 // and recomputes the slow threshold: the upper bound of the bucket
 // covering the 99th percentile, scaled by TailFactor. Caller holds l.mu.
 func (l *Log) observeLatencyLocked(d time.Duration) {
-	s := d.Seconds()
-	i := 0
-	for ; i < len(obs.DefBuckets); i++ {
-		if s <= obs.DefBuckets[i] {
-			break
-		}
-	}
-	l.latCounts[i]++
+	l.latCounts[obs.DefBucketIndex(d.Seconds())]++
 	l.latTotal++
 	if l.latTotal >= decayEvery {
 		total := 0
@@ -249,19 +242,7 @@ func (l *Log) observeLatencyLocked(d time.Duration) {
 	if l.latTotal < l.cfg.MinCount {
 		return
 	}
-	need := uint64((99*l.latTotal + 99) / 100)
-	var cum uint64
-	bound := obs.DefBuckets[len(obs.DefBuckets)-1]
-	for j, c := range l.latCounts {
-		cum += c
-		if cum >= need {
-			if j < len(obs.DefBuckets) {
-				bound = obs.DefBuckets[j]
-			}
-			break
-		}
-	}
-	threshold := time.Duration(bound * l.cfg.TailFactor * float64(time.Second))
+	threshold := time.Duration(obs.DefBucketP99(l.latCounts) * l.cfg.TailFactor * float64(time.Second))
 	l.thresholdNs = threshold.Nanoseconds()
 	l.threshold.Set(threshold.Seconds())
 }

@@ -51,15 +51,6 @@ func (s Stage) String() string {
 	return stageNames[s]
 }
 
-// StageNames lists every stage name in serving-path order.
-func StageNames() []string {
-	out := make([]string, numStages)
-	for i := range stageNames {
-		out[i] = stageNames[i]
-	}
-	return out
-}
-
 // StageClock accumulates per-stage wall time for one request. It is
 // carried on the request context (inside the event Builder) and read on
 // the classifier hot path, so the disabled state — a nil *StageClock —

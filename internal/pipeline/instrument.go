@@ -51,6 +51,5 @@ func PrintSpanReport(w io.Writer, stats []obs.SpanStat) {
 func PrintRunStats(w io.Writer, s Stats) {
 	fmt.Fprintf(w, "%-28s %10d\n", "documents read", s.Read)
 	fmt.Fprintf(w, "%-28s %10d\n", "documents processed", s.Processed)
-	fmt.Fprintf(w, "%-28s %10d\n", "engine retries", s.Retried)
 	fmt.Fprintf(w, "%-28s %10d\n", "dead-lettered", s.DeadLettered)
 }

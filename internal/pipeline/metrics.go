@@ -16,9 +16,6 @@ const (
 	// MetricCircuitBreaksTotal counts runs aborted by the
 	// consecutive-failure circuit breaker.
 	MetricCircuitBreaksTotal = "qatk_pipeline_circuit_breaks_total"
-	// MetricRetriesTotal counts retry attempts accumulated by
-	// Retry-wrapped engines during collection runs.
-	MetricRetriesTotal = "qatk_pipeline_retries_total"
 )
 
 // RegisterMetrics pre-registers every pipeline metric family on r so the
@@ -28,5 +25,4 @@ func RegisterMetrics(r *obs.Registry) {
 	r.Counter(MetricDocumentsTotal)
 	r.Counter(MetricDeadLettersTotal)
 	r.Counter(MetricCircuitBreaksTotal)
-	r.Counter(MetricRetriesTotal)
 }

@@ -293,8 +293,7 @@ func TestRegisterMetricsPreTouch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		MetricDocumentsTotal, MetricDeadLettersTotal,
-		MetricCircuitBreaksTotal, MetricRetriesTotal,
+		MetricDocumentsTotal, MetricDeadLettersTotal, MetricCircuitBreaksTotal,
 	} {
 		if !strings.Contains(sb.String(), name+" 0") {
 			t.Errorf("exposition missing %s at zero:\n%s", name, sb.String())

@@ -73,7 +73,7 @@ type RunConfig struct {
 	// negative means no breaker: any number of isolated failures is allowed.
 	ErrorBudget int
 	// Metrics receives run counters (documents, dead letters, circuit
-	// breaks, retries). Nil disables metrics at zero cost.
+	// breaks). Nil disables metrics at zero cost.
 	Metrics *obs.Registry
 	// Tracer records one root span per run ("pipeline.run"), one child per
 	// document ("pipeline.document"), and one grandchild per engine
@@ -98,29 +98,13 @@ var ErrCircuitOpen = errors.New("pipeline: circuit open")
 type Stats struct {
 	Read         int // documents pulled from the reader
 	Processed    int // documents that passed every engine and the consumer
-	Retried      int // retry attempts accumulated by Retry-wrapped engines
 	DeadLettered int // documents routed to the dead-letter consumer
 }
 
 // String renders the run summary as a single report line.
 func (s Stats) String() string {
-	return fmt.Sprintf("read %d, processed %d, retried %d, dead-lettered %d",
-		s.Read, s.Processed, s.Retried, s.DeadLettered)
-}
-
-// retryCounter is implemented by Retry-wrapped engines.
-type retryCounter interface{ Retries() int }
-
-// Retries sums the retry attempts of all Retry-wrapped engines in the
-// pipeline (0 when none are wrapped).
-func (p *Pipeline) Retries() int {
-	n := 0
-	for _, e := range p.engines {
-		if rc, ok := e.(retryCounter); ok {
-			n += rc.Retries()
-		}
-	}
-	return n
+	return fmt.Sprintf("read %d, processed %d, dead-lettered %d",
+		s.Read, s.Processed, s.DeadLettered)
 }
 
 // Span names opened by RunWithConfig. Per-engine spans are named by
@@ -143,27 +127,19 @@ const (
 //
 // Observability rides on the config: a root span covers the run, each
 // document gets a child span, each engine invocation a grandchild, and
-// counters/log events record documents, dead letters, circuit breaks and
-// retries. All of it is nil-safe — a zero RunConfig processes documents on
+// counters/log events record documents, dead letters and circuit breaks.
+// All of it is nil-safe — a zero RunConfig processes documents on
 // the exact pre-observability path.
 func (p *Pipeline) RunWithConfig(ctx context.Context, r Reader, consumer Consumer, cfg RunConfig) (stats Stats, err error) {
 	consecutive := 0
 	docsRead := cfg.Metrics.Counter(MetricDocumentsTotal)
 	deadLetters := cfg.Metrics.Counter(MetricDeadLettersTotal)
 	circuitBreaks := cfg.Metrics.Counter(MetricCircuitBreaksTotal)
-	retries := cfg.Metrics.Counter(MetricRetriesTotal)
-	startRetries := p.Retries()
 	run := cfg.Tracer.Start(nil, spanRun)
 	log := cfg.Logger.WithSpan(run)
 	guard := cfg.Flight.Guard(spanRun)
 	defer guard.Stop()
-	defer func() {
-		stats.Retried = p.Retries()
-		if delta := stats.Retried - startRetries; delta > 0 {
-			retries.Add(uint64(delta))
-		}
-		run.End(err)
-	}()
+	defer func() { run.End(err) }()
 	for index := 0; ; index++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return stats, fmt.Errorf("pipeline: run cancelled after %d documents: %w", stats.Read, cerr)

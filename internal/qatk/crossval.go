@@ -1,20 +1,12 @@
 package qatk
 
 import (
-	"strconv"
 	"time"
 
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/kb"
-	"repro/internal/obs"
-)
-
-// Span names opened by CrossValidate.
-const (
-	spanCrossValidate = "qatk.crossvalidate"
-	spanFold          = "qatk.fold"
 )
 
 // CrossValidate runs the §5.1 protocol — stratified k-fold CV with
@@ -45,13 +37,10 @@ func (t *Toolkit) CrossValidate(bundles []*bundle.Bundle, folds int, seed int64,
 	}
 
 	res := &eval.Result{Variant: t.variantName(), Accuracy: eval.AccuracyAtK{}}
-	cv := t.Tracer.Start(nil, spanCrossValidate, obs.L("variant", res.Variant))
-	defer cv.End(nil)
 	hits := map[int]int{}
 	total := 0
 	var seconds float64
 	for f := 0; f < folds; f++ {
-		span := t.Tracer.Start(cv, spanFold, obs.L("fold", strconv.Itoa(f)))
 		inTest := make(map[int]bool, len(foldIdx[f]))
 		for _, idx := range foldIdx[f] {
 			inTest[idx] = true
@@ -71,7 +60,6 @@ func (t *Toolkit) CrossValidate(bundles []*bundle.Bundle, folds int, seed int64,
 			total++
 		}
 		seconds += time.Since(start).Seconds()
-		span.End(nil)
 	}
 	for _, k := range ks {
 		res.Accuracy[k] = float64(hits[k]) / float64(total)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/kb"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/reldb"
 	"repro/internal/taxonomy"
@@ -30,9 +29,6 @@ type Toolkit struct {
 	Stopwords bool // bag-of-words stopword removal (§5.2.2)
 	SpellNorm bool // spelling normalization against the taxonomy vocabulary
 	Stemming  bool // language-dependent stemming of bag-of-words features
-	// Tracer records cross-validation spans (one per CV run, one per
-	// fold). Nil disables tracing.
-	Tracer *obs.Tracer
 
 	annotator *annotate.ConceptAnnotator
 	extractor *kb.Extractor
@@ -61,9 +57,6 @@ func WithSpellNormalization() Option { return func(t *Toolkit) { t.SpellNorm = t
 // WithStemming adds the language detector + Stemmer engines and makes the
 // bag-of-words extractor use stems, conflating inflectional variants.
 func WithStemming() Option { return func(t *Toolkit) { t.Stemming = true } }
-
-// WithTracer attaches a tracer recording cross-validation spans.
-func WithTracer(tr *obs.Tracer) Option { return func(t *Toolkit) { t.Tracer = tr } }
 
 // New builds a Toolkit over a taxonomy.
 func New(tax *taxonomy.Taxonomy, opts ...Option) *Toolkit {

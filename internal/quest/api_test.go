@@ -3,6 +3,7 @@ package quest
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -103,6 +104,39 @@ func TestAPIAssign(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad body status %d", resp.StatusCode)
+	}
+}
+
+// An assign body over maxBodyBytes is refused and the bundle keeps its
+// code: with 413 before the handler runs when the length is declared, and
+// by the capped reader when it is not.
+func TestAPIAssignOversizeBody(t *testing.T) {
+	ts, db := testServer(t)
+	before, err := bundle.Load(db, "R001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob := client(t, ts, "bob")
+	big := `{"code":"` + strings.Repeat("X", maxBodyBytes) + `"}`
+	for _, c := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"declared length", strings.NewReader(big), http.StatusRequestEntityTooLarge},
+		{"chunked", io.MultiReader(strings.NewReader(big)), http.StatusBadRequest},
+	} {
+		resp, err := bob.Post(ts.URL+"/api/bundle/R001/assign", "application/json", c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
+		}
+		if b, _ := bundle.Load(db, "R001"); b.ErrorCode != before.ErrorCode {
+			t.Fatalf("%s: oversize assign stored a code of length %d", c.name, len(b.ErrorCode))
+		}
 	}
 }
 

@@ -89,6 +89,29 @@ func WithTimeout(d time.Duration, timeouts *obs.Counter, logger *obs.Logger, nex
 	return http.TimeoutHandler(watched, d, "request timed out")
 }
 
+// maxBodyBytes bounds every request body the application mux reads: a
+// login, user or catalog form, or the assign API's one-field JSON. Without
+// a cap the assign API would decode, and durably store, whatever code
+// string arrives.
+const maxBodyBytes = 64 << 10
+
+// limitBody answers 413 before next runs when a request declares a body
+// over maxBodyBytes, and caps the rest with http.MaxBytesReader so a body
+// of undeclared length cannot grow past it either. Requests without a body
+// pass through untouched.
+func limitBody(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength > maxBodyBytes {
+			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+			return
+		}
+		if r.ContentLength != 0 {
+			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
 // statusRecorder captures the first status code written to a response.
 type statusRecorder struct {
 	http.ResponseWriter

@@ -118,7 +118,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Metrics != nil {
 		probes.Handle("/metrics", cfg.Metrics.Handler())
 	}
-	probes.Handle("/", WithTimeout(cfg.RequestTimeout, timeouts, logger, s.mux))
+	probes.Handle("/", WithTimeout(cfg.RequestTimeout, timeouts, logger, limitBody(s.mux)))
 	s.handler = Instrument(cfg.Metrics, cfg.Tracer, cfg.Flight, cfg.Requests, cfg.Exemplars,
 		Recover(logger, panics, cfg.Flight, probes))
 	return s, nil

@@ -79,18 +79,6 @@ func BenchmarkFullScanSelect(b *testing.B) {
 	}
 }
 
-func BenchmarkSQLExec(b *testing.B) {
-	db := benchDB(b, 10000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := db.Exec("SELECT id FROM t WHERE part = ? AND feature = ? LIMIT 5",
-			"P03", "f0042"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkWALAppend(b *testing.B) {
 	db, err := Open(b.TempDir())
 	if err != nil {

@@ -101,15 +101,6 @@ func (ix *index) scanRange(lo, hi Value, loIncl, hiIncl bool, fn func(id int64) 
 	}
 }
 
-// scanAll walks the whole index in key order.
-func (ix *index) scanAll(fn func(id int64) bool) {
-	for n := ix.list.first(); n != nil; n = n.next[0] {
-		if !fn(n.val) {
-			return
-		}
-	}
-}
-
 func hasPrefix(b, prefix []byte) bool {
 	if len(b) < len(prefix) {
 		return false

@@ -173,6 +173,36 @@ func TestSelectNullNeverMatches(t *testing.T) {
 			t.Fatal("NULL matched a comparison")
 		}
 	}
+	// The NULL cell reads back as nil.
+	res, err = db.Select(Query{Table: "codes", Where: []Cond{Eq("code", "E900")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][3] != nil {
+		t.Fatalf("NULL row read back as %v", res.Rows)
+	}
+}
+
+// Negative ints and floats order below zero in an unindexed comparison.
+func TestSelectNegativeNumbers(t *testing.T) {
+	db := mustOpenMem(t)
+	if err := db.CreateTable(Schema{Name: "t", Columns: []Column{{Name: "a", Type: TInt}, {Name: "b", Type: TFloat}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Row{{int64(-5), -1.5}, {int64(3), 2.5}} {
+		if _, err := db.Insert("t", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, col := range []string{"a", "b"} {
+		res, err := db.Select(Query{Table: "t", Where: []Cond{{Col: col, Op: OpLt, Val: 0}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].(int64) != -5 || res.Rows[0][1].(float64) != -1.5 {
+			t.Fatalf("%s < 0: rows = %v", col, res.Rows)
+		}
+	}
 }
 
 func TestSelectOne(t *testing.T) {
@@ -230,12 +260,17 @@ func TestUpdateReflectedInIndex(t *testing.T) {
 	id := res.RowIDs[0]
 	row := res.Rows[0]
 	row[1] = "P1" // move E400 from P3 to P1
+	row[3] = 0.95 // and change its score in the same update
 	if err := db.Update("codes", id, row); err != nil {
 		t.Fatal(err)
 	}
 	p1, _ := db.Select(Query{Table: "codes", Where: []Cond{Eq("part", "P1")}})
 	if len(p1.Rows) != 4 {
 		t.Fatalf("P1 rows = %d, want 4", len(p1.Rows))
+	}
+	moved, _ := db.Select(Query{Table: "codes", Where: []Cond{Eq("code", "E400")}})
+	if len(moved.Rows) != 1 || moved.Rows[0][1].(string) != "P1" || moved.Rows[0][3].(float64) != 0.95 {
+		t.Fatalf("E400 after update = %v", moved.Rows)
 	}
 	p3, _ := db.Select(Query{Table: "codes", Where: []Cond{Eq("part", "P3")}})
 	if len(p3.Rows) != 0 {

@@ -4,10 +4,10 @@
 //
 // The engine is deliberately small but complete: typed schemas, primary
 // keys, hash and ordered secondary indexes, predicate scans with index
-// selection, ORDER BY/LIMIT, single-writer transactions, write-ahead
-// logging with snapshot checkpoints, and a minimal SQL subset. It stores
-// knowledge-base instances "on disk with on-the-fly access", which is how
-// the paper addresses the memory weakness of instance-based kNN (§2.2).
+// selection, ORDER BY/LIMIT, single-writer transactions, and write-ahead
+// logging with snapshot checkpoints. It stores knowledge-base instances
+// "on disk with on-the-fly access", which is how the paper addresses the
+// memory weakness of instance-based kNN (§2.2).
 package reldb
 
 import (
@@ -48,24 +48,6 @@ func (t ColType) String() string {
 	}
 }
 
-// ParseColType converts a SQL type name to a ColType.
-func ParseColType(s string) (ColType, error) {
-	switch strings.ToUpper(s) {
-	case "INT", "INTEGER", "BIGINT":
-		return TInt, nil
-	case "FLOAT", "REAL", "DOUBLE":
-		return TFloat, nil
-	case "TEXT", "STRING", "VARCHAR":
-		return TString, nil
-	case "BOOL", "BOOLEAN":
-		return TBool, nil
-	case "BLOB", "BYTES":
-		return TBytes, nil
-	default:
-		return 0, fmt.Errorf("reldb: unknown column type %q", s)
-	}
-}
-
 // Value is a dynamically typed cell value. The concrete type must be one of
 // int64, float64, string, bool, []byte, or nil.
 type Value = any
@@ -86,26 +68,6 @@ func (r Row) Clone() Row {
 		out[i] = v
 	}
 	return out
-}
-
-// typeOf reports the ColType of a concrete value, or 0 for nil.
-func typeOf(v Value) (ColType, error) {
-	switch v.(type) {
-	case nil:
-		return 0, nil
-	case int64:
-		return TInt, nil
-	case float64:
-		return TFloat, nil
-	case string:
-		return TString, nil
-	case bool:
-		return TBool, nil
-	case []byte:
-		return TBytes, nil
-	default:
-		return 0, fmt.Errorf("reldb: unsupported value type %T", v)
-	}
 }
 
 // coerce converts compatible Go values to the canonical cell representation

@@ -145,21 +145,6 @@ func TestCoerce(t *testing.T) {
 	}
 }
 
-func TestParseColType(t *testing.T) {
-	for s, want := range map[string]ColType{
-		"INT": TInt, "integer": TInt, "TEXT": TString, "varchar": TString,
-		"FLOAT": TFloat, "double": TFloat, "BOOL": TBool, "blob": TBytes,
-	} {
-		got, err := ParseColType(s)
-		if err != nil || got != want {
-			t.Errorf("ParseColType(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseColType("jsonb"); err == nil {
-		t.Error("unknown type accepted")
-	}
-}
-
 func TestFormatValue(t *testing.T) {
 	cases := map[string]Value{
 		"NULL":    nil,
