@@ -4,7 +4,7 @@ GO ?= go
 # (BENCH_pr$(PR).json); bump it per PR so benchtrend orders them.
 PR ?= 10
 
-.PHONY: build test vet fmt-check lint lint-json race crash chaos chaos-repl check bench bench-load bench-alloc bench-trend bench-gate bench-meta prof-smoke
+.PHONY: build test vet fmt-check lint lint-json race crash chaos chaos-repl fuzz-smoke golden check bench bench-load bench-alloc bench-trend bench-gate bench-meta prof-smoke
 
 ## build: compile every package and command
 build:
@@ -68,10 +68,22 @@ chaos-repl:
 	CHAOS_ARTIFACT=$(CURDIR)/repl_requests.json $(GO) test -race -count 1 ./internal/repl || \
 	  { [ -f repl_requests.json ] && echo "chaos-repl: tail-sample ring -> repl_requests.json"; exit 1; }
 
+## fuzz-smoke: run each fuzz target for a fixed 10 s beyond its committed
+## seeds (testdata/fuzz/); a crasher it finds is written there and becomes
+## a regression test of the ordinary suite.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzFeatures$$' -fuzztime 10s ./internal/qatk
+
+## golden: run `experiments -small -all` and diff its output, wall-clock
+## columns masked, against cmd/experiments/testdata/small_all.golden.
+golden:
+	$(GO) test -count 1 -run '^TestSmallAllGolden$$' ./cmd/experiments
+
 ## check: the pre-merge tier — vet, gofmt, qatklint, the race-enabled suite, the
-## crash harness, the shard + replication chaos matrices, the benchmark
-## module's meta-tests, and the benchmark regression gate
-check: vet fmt-check lint race crash chaos chaos-repl bench-meta bench-gate
+## crash harness, the shard + replication chaos matrices, the fuzz smoke, the
+## experiments golden, the benchmark module's meta-tests, and the benchmark
+## regression gate
+check: vet fmt-check lint race crash chaos chaos-repl fuzz-smoke golden bench-meta bench-gate
 
 # The full benchmark sweep shared by bench (committing a baseline) and
 # bench-gate (comparing a fresh run against one). The root-package paper

@@ -179,7 +179,7 @@ func BenchmarkFig14_DistributionComparison(b *testing.B) {
 			complaints = append(complaints, cm)
 		}
 	}
-	clf := compare.NewClassifier(store, c.Taxonomy, kb.BagOfConcepts, core.Jaccard{})
+	clf := compare.NewClassifier(store, tk)
 	b.ResetTimer()
 	var public *compare.Distribution
 	for i := 0; i < b.N; i++ {

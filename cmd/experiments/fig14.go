@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/annotate"
@@ -36,32 +37,18 @@ func largestPart(bundles []*bundle.Bundle) string {
 // runFig14 regenerates the error-distribution comparison of §5.4/Fig. 14:
 // the internal knowledge base classifies ODI-style complaints, and the two
 // sources' top error codes are printed side by side.
-func runFig14(corpus *datagen.Corpus) {
+func runFig14(w io.Writer, corpus *datagen.Corpus) {
 	// Build the full knowledge base from all internal bundles
 	// (bag-of-concepts: language-independent, the §5.4 choice).
 	filtered := bundle.FilterMultiOccurrence(corpus.Bundles)
-	ann := annotate.NewConceptAnnotator(corpus.Taxonomy)
-	ex := &kb.Extractor{Model: kb.BagOfConcepts}
-	mem := kb.NewMemory()
-	for _, b := range filtered {
-		c := b.CAS()
-		if err := (textproc.Tokenizer{}).Process(c); err != nil {
-			fmt.Fprintln(os.Stderr, "tokenize:", err)
-			os.Exit(1)
-		}
-		if err := ann.Process(c); err != nil {
-			fmt.Fprintln(os.Stderr, "annotate:", err)
-			os.Exit(1)
-		}
-		mem.AddBundle(b.PartID, b.ErrorCode, ex.Features(c))
-	}
+	boc := qatk.New(corpus.Taxonomy)
+	clf := compare.NewClassifier(must(boc.Train(filtered)), boc)
 
 	gcfg := nhtsa.DefaultGenerateConfig()
 	if len(corpus.Bundles) < 1000 {
 		gcfg.Complaints = 300
 	}
 	complaints, labels := nhtsa.GenerateLabeled(gcfg, corpus)
-	clf := compare.NewClassifier(mem, corpus.Taxonomy, kb.BagOfConcepts, core.Jaccard{})
 
 	// The QUEST comparison screen (Fig. 14) shows the distribution for one
 	// component class; use the part with the most data.
@@ -78,49 +65,27 @@ func runFig14(corpus *datagen.Corpus) {
 			partComplaints = append(partComplaints, cm)
 		}
 	}
-	public, err := clf.ComplaintDistribution(partComplaints)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "classify complaints:", err)
-		os.Exit(1)
-	}
+	public := must(clf.ComplaintDistribution(partComplaints))
 	internal := compare.InternalDistribution(partBundles)
 
-	fmt.Printf("== Figure 14 — error distribution for part %s: internal vs public source ==\n", part)
-	compare.PrintSideBySide(os.Stdout, internal, public, 3)
-	fmt.Printf("top-10 head overlap: %d codes shared\n", compare.HeadOverlap(internal, public, 10))
+	fmt.Fprintf(w, "== Figure 14 — error distribution for part %s: internal vs public source ==\n", part)
+	compare.PrintSideBySide(w, internal, public, 3)
+	fmt.Fprintf(w, "top-10 head overlap: %d codes shared\n", compare.HeadOverlap(internal, public, 10))
 
 	// The §5.4 cross-source accuracy claim, measurable on the synthetic
 	// labels: bag-of-concepts transfers across text types, bag-of-words
 	// does not.
-	bocAcc, err := compare.CrossSourceAccuracy(clf, complaints, labels)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cross-source:", err)
-		os.Exit(1)
-	}
-	exBow := &kb.Extractor{Model: kb.BagOfWords}
-	memBow := kb.NewMemory()
-	for _, b := range filtered {
-		c := b.CAS()
-		if err := (textproc.Tokenizer{}).Process(c); err != nil {
-			fmt.Fprintln(os.Stderr, "tokenize:", err)
-			os.Exit(1)
-		}
-		memBow.AddBundle(b.PartID, b.ErrorCode, exBow.Features(c))
-	}
-	bowClf := compare.NewClassifier(memBow, corpus.Taxonomy, kb.BagOfWords, core.Jaccard{})
-	bowAcc, err := compare.CrossSourceAccuracy(bowClf, complaints, labels)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cross-source:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("cross-source top-1 accuracy: bag-of-concepts %.1f%%, bag-of-words %.1f%% (§5.4)\n\n",
+	bocAcc := must(compare.CrossSourceAccuracy(clf, complaints, labels))
+	bow := qatk.New(corpus.Taxonomy, qatk.WithModel(kb.BagOfWords))
+	bowAcc := must(compare.CrossSourceAccuracy(compare.NewClassifier(must(bow.Train(filtered)), bow), complaints, labels))
+	fmt.Fprintf(w, "cross-source top-1 accuracy: bag-of-concepts %.1f%%, bag-of-words %.1f%% (§5.4)\n\n",
 		100*bocAcc, 100*bowAcc)
 }
 
 // runExtension runs the taxonomy-adaptation experiment the paper names as
 // future work: per-fold mining of uncovered domain terms, then
 // bag-of-concepts CV with the extended taxonomy.
-func runExtension(corpus *datagen.Corpus) {
+func runExtension(w io.Writer, corpus *datagen.Corpus) {
 	e := eval.New(corpus.Taxonomy, corpus.Bundles)
 	plain := must(e.Run(eval.Variant{Name: "bag-of-concepts + jaccard (legacy taxonomy)",
 		Model: kb.BagOfConcepts, Sim: core.Jaccard{}}))
@@ -130,59 +95,46 @@ func runExtension(corpus *datagen.Corpus) {
 		fmt.Fprintln(os.Stderr, "extension:", err)
 		os.Exit(1)
 	}
-	fmt.Println("== Extension — taxonomy adaptation (§5.2.2 outlook, §6) ==")
-	fmt.Printf("%-52s", "variant")
+	fmt.Fprintln(w, "== Extension — taxonomy adaptation (§5.2.2 outlook, §6) ==")
+	fmt.Fprintf(w, "%-52s", "variant")
 	for _, k := range eval.DefaultKs {
-		fmt.Printf("  @%-5d", k)
+		fmt.Fprintf(w, "  @%-5d", k)
 	}
-	fmt.Println()
-	fmt.Printf("%-52s", plain.Variant)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-52s", plain.Variant)
 	for _, k := range eval.DefaultKs {
-		fmt.Printf("  %5.1f%%", 100*plain.Accuracy[k])
+		fmt.Fprintf(w, "  %5.1f%%", 100*plain.Accuracy[k])
 	}
-	fmt.Println()
-	fmt.Printf("%-52s", fmt.Sprintf("bag-of-concepts + jaccard (adapted, +%d concepts)", added))
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-52s", fmt.Sprintf("bag-of-concepts + jaccard (adapted, +%d concepts)", added))
 	for _, k := range eval.DefaultKs {
-		fmt.Printf("  %5.1f%%", 100*adapted[k])
+		fmt.Fprintf(w, "  %5.1f%%", 100*adapted[k])
 	}
-	fmt.Println()
-	fmt.Println()
+	fmt.Fprintln(w)
+	fmt.Fprintln(w)
 }
 
 // runPreprocessing runs the second §6 future-work experiment: the optional
 // linguistic preprocessing engines (taxonomy-vocabulary spelling
 // normalization and language-dependent stemming) cross-validated against
 // the plain pipeline.
-func runPreprocessing(corpus *datagen.Corpus) {
-	configs := []struct {
-		name string
-		opts []qatk.Option
-	}{
-		{"bag-of-words + jaccard (plain)", []qatk.Option{qatk.WithModel(kb.BagOfWords)}},
-		{"bag-of-words + jaccard + spell norm", []qatk.Option{qatk.WithModel(kb.BagOfWords), qatk.WithSpellNormalization()}},
-		{"bag-of-words + jaccard + spell norm + stems", []qatk.Option{qatk.WithModel(kb.BagOfWords), qatk.WithSpellNormalization(), qatk.WithStemming()}},
-		{"bag-of-concepts + jaccard (plain)", []qatk.Option{qatk.WithModel(kb.BagOfConcepts)}},
-		{"bag-of-concepts + jaccard + spell norm", []qatk.Option{qatk.WithModel(kb.BagOfConcepts), qatk.WithSpellNormalization()}},
+func runPreprocessing(w io.Writer, corpus *datagen.Corpus) {
+	variants := []eval.Variant{
+		{Name: "bag-of-words + jaccard (plain)", Model: kb.BagOfWords, Sim: jaccard()},
+		{Name: "bag-of-words + jaccard + spell norm", Model: kb.BagOfWords, Sim: jaccard(), SpellNorm: true},
+		{Name: "bag-of-words + jaccard + spell norm + stems", Model: kb.BagOfWords, Sim: jaccard(), SpellNorm: true, Stemming: true},
+		{Name: "bag-of-concepts + jaccard (plain)", Model: kb.BagOfConcepts, Sim: jaccard()},
+		{Name: "bag-of-concepts + jaccard + spell norm", Model: kb.BagOfConcepts, Sim: jaccard(), SpellNorm: true},
 	}
-	var results []*eval.Result
-	for _, c := range configs {
-		tk := qatk.New(corpus.Taxonomy, c.opts...)
-		res, err := tk.CrossValidate(corpus.Bundles, 5, 1, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "preproc:", err)
-			os.Exit(1)
-		}
-		res.Variant = c.name
-		results = append(results, res)
-	}
-	eval.PrintTable(os.Stdout, "== Extension — linguistic preprocessing (§6) ==", results, nil)
-	fmt.Println()
+	results := must(eval.New(corpus.Taxonomy, corpus.Bundles).RunAll(variants))
+	eval.PrintTable(w, "== Extension — linguistic preprocessing (§6) ==", results, nil)
+	fmt.Fprintln(w)
 }
 
 // runCoverage reproduces the §4.5.3 annotator comparison: the legacy
 // annotator finds no taxonomy concepts in a large share of the bundles
 // (2,530 of 7,500 in the paper), the trie annotator covers all of them.
-func runCoverage(corpus *datagen.Corpus) {
+func runCoverage(w io.Writer, corpus *datagen.Corpus) {
 	legacy := annotate.NewLegacyAnnotator(corpus.Taxonomy)
 	modern := annotate.NewConceptAnnotator(corpus.Taxonomy)
 	legacyZero, modernZero := 0, 0
@@ -202,9 +154,9 @@ func runCoverage(corpus *datagen.Corpus) {
 			modernZero++
 		}
 	}
-	fmt.Println("== Annotator coverage (§4.5.3) ==")
-	fmt.Printf("%-36s %10s %18s\n", "annotator", "zero-concept bundles", "paper")
-	fmt.Printf("%-36s %10d of %d %12s\n", "legacy (single-word, case-sensitive)", legacyZero, len(corpus.Bundles), "2530 of 7500")
-	fmt.Printf("%-36s %10d of %d %12s\n", "trie (multiword, multilingual)", modernZero, len(corpus.Bundles), "0 of 7500")
-	fmt.Println()
+	fmt.Fprintln(w, "== Annotator coverage (§4.5.3) ==")
+	fmt.Fprintf(w, "%-36s %10s %18s\n", "annotator", "zero-concept bundles", "paper")
+	fmt.Fprintf(w, "%-36s %10d of %d %12s\n", "legacy (single-word, case-sensitive)", legacyZero, len(corpus.Bundles), "2530 of 7500")
+	fmt.Fprintf(w, "%-36s %10d of %d %12s\n", "trie (multiword, multilingual)", modernZero, len(corpus.Bundles), "0 of 7500")
+	fmt.Fprintln(w)
 }

@@ -20,30 +20,34 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"repro/internal/annotate"
 	"repro/internal/bundle"
 	"repro/internal/datagen"
 	"repro/internal/eval"
 	"repro/internal/kb"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/textproc"
+	"repro/internal/qatk"
 )
 
-func main() {
-	fig := flag.Int("fig", 0, "figure to regenerate (11, 12, 13, 14)")
-	stats := flag.Bool("stats", false, "print corpus statistics (§3.2)")
-	feas := flag.Bool("feasibility", false, "print runtime feasibility (§5.2.2)")
-	coverage := flag.Bool("coverage", false, "print annotator coverage ablation (§4.5.3)")
-	extension := flag.Bool("extension", false, "print the taxonomy-adaptation extension experiment (§5.2.2/§6)")
-	preproc := flag.Bool("preproc", false, "print the linguistic-preprocessing extension experiment (§6)")
-	all := flag.Bool("all", false, "run everything")
-	small := flag.Bool("small", false, "use the small test corpus instead of paper scale")
-	seed := flag.Int64("seed", 1, "corpus generation seed")
-	csvDir := flag.String("csv", "", "also write accuracy tables as CSV into this directory")
-	flag.Parse()
+func main() { run(os.Stdout, os.Args[1:]) }
+
+// run parses the command line and prints the selected experiments to w.
+func run(w io.Writer, args []string) {
+	flags := flag.NewFlagSet("experiments", flag.ExitOnError)
+	fig := flags.Int("fig", 0, "figure to regenerate (11, 12, 13, 14)")
+	stats := flags.Bool("stats", false, "print corpus statistics (§3.2)")
+	feas := flags.Bool("feasibility", false, "print runtime feasibility (§5.2.2)")
+	coverage := flags.Bool("coverage", false, "print annotator coverage ablation (§4.5.3)")
+	extension := flags.Bool("extension", false, "print the taxonomy-adaptation extension experiment (§5.2.2/§6)")
+	preproc := flags.Bool("preproc", false, "print the linguistic-preprocessing extension experiment (§6)")
+	all := flags.Bool("all", false, "run everything")
+	small := flags.Bool("small", false, "use the small test corpus instead of paper scale")
+	seed := flags.Int64("seed", 1, "corpus generation seed")
+	csvDir := flags.String("csv", "", "also write accuracy tables as CSV into this directory")
+	flags.Parse(args)
 	csvOut = *csvDir
 	if csvOut != "" {
 		if err := os.MkdirAll(csvOut, 0o755); err != nil {
@@ -67,51 +71,51 @@ func main() {
 
 	ran := false
 	if *stats || *all {
-		runStats(corpus, !*small)
+		runStats(w, corpus, !*small)
 		ran = true
 	}
 	if *fig == 11 || *all {
-		runFig11(corpus)
+		runFig11(w, corpus)
 		ran = true
 	}
 	if *fig == 12 || *all {
-		runFig1213(corpus, bundle.SourceMechanic, "Figure 12 — mechanic reports only")
+		runFig1213(w, corpus, bundle.SourceMechanic, "Figure 12 — mechanic reports only")
 		ran = true
 	}
 	if *fig == 13 || *all {
-		runFig1213(corpus, bundle.SourceSupplier, "Figure 13 — supplier reports only")
+		runFig1213(w, corpus, bundle.SourceSupplier, "Figure 13 — supplier reports only")
 		ran = true
 	}
 	if *fig == 14 || *all {
-		runFig14(corpus)
+		runFig14(w, corpus)
 		ran = true
 	}
 	if *feas || *all {
-		runFeasibility(corpus)
+		runFeasibility(w, corpus)
 		ran = true
 	}
 	if *coverage || *all {
-		runCoverage(corpus)
+		runCoverage(w, corpus)
 		ran = true
 	}
 	if *extension || *all {
-		runExtension(corpus)
+		runExtension(w, corpus)
 		ran = true
 	}
 	if *preproc || *all {
-		runPreprocessing(corpus)
+		runPreprocessing(w, corpus)
 		ran = true
 	}
 	if !ran {
-		flag.Usage()
+		flags.Usage()
 		os.Exit(2)
 	}
 }
 
-func runStats(corpus *datagen.Corpus, paperScale bool) {
-	fmt.Println("== Corpus statistics (§3.2) ==")
-	corpus.Stats().Print(os.Stdout, paperScale)
-	fmt.Println()
+func runStats(w io.Writer, corpus *datagen.Corpus, paperScale bool) {
+	fmt.Fprintln(w, "== Corpus statistics (§3.2) ==")
+	corpus.Stats().Print(w, paperScale)
+	fmt.Fprintln(w)
 }
 
 // csvOut is the directory for CSV exports ("" = disabled).
@@ -143,30 +147,30 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-func runFig11(corpus *datagen.Corpus) {
+func runFig11(w io.Writer, corpus *datagen.Corpus) {
 	e := eval.New(corpus.Taxonomy, corpus.Bundles)
 	results := must(e.RunAll(eval.StandardVariants()))
 	results = append(results, e.RunFrequencyBaseline())
 	results = append(results, must(e.RunCandidateSetBaseline(kb.BagOfWords, nil)))
 	results = append(results, must(e.RunCandidateSetBaseline(kb.BagOfConcepts, nil)))
-	eval.PrintTable(os.Stdout, "== Figure 11 — experiment 1: all reports ==", results, nil)
+	eval.PrintTable(w, "== Figure 11 — experiment 1: all reports ==", results, nil)
 	writeCSV("fig11", results)
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func runFig1213(corpus *datagen.Corpus, src bundle.Source, title string) {
+func runFig1213(w io.Writer, corpus *datagen.Corpus, src bundle.Source, title string) {
 	e := eval.New(corpus.Taxonomy, corpus.Bundles)
 	variants := eval.SourceVariants(string(src)+":", src)
 	results := must(e.RunAll(variants))
 	results = append(results, e.RunFrequencyBaseline())
 	results = append(results, must(e.RunCandidateSetBaseline(kb.BagOfWords, []bundle.Source{src})))
 	results = append(results, must(e.RunCandidateSetBaseline(kb.BagOfConcepts, []bundle.Source{src})))
-	eval.PrintTable(os.Stdout, "== "+title+" ==", results, nil)
+	eval.PrintTable(w, "== "+title+" ==", results, nil)
 	writeCSV("fig"+map[bundle.Source]string{bundle.SourceMechanic: "12", bundle.SourceSupplier: "13"}[src], results)
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func runFeasibility(corpus *datagen.Corpus) {
+func runFeasibility(w io.Writer, corpus *datagen.Corpus) {
 	e := eval.New(corpus.Taxonomy, corpus.Bundles)
 	variants := []eval.Variant{
 		{Name: "bag-of-words + jaccard", Model: kb.BagOfWords, Sim: jaccard()},
@@ -174,29 +178,19 @@ func runFeasibility(corpus *datagen.Corpus) {
 		{Name: "bag-of-concepts + jaccard", Model: kb.BagOfConcepts, Sim: jaccard()},
 	}
 	results := must(e.RunAll(variants))
-	fmt.Println("== Feasibility (§5.2.2) — classification runtime ==")
-	eval.PrintTiming(os.Stdout, results)
-	fmt.Println()
-	fmt.Println("accuracy (stopword removal must not change accuracy materially):")
-	eval.PrintTable(os.Stdout, "", results, nil)
-	fmt.Println()
+	fmt.Fprintln(w, "== Feasibility (§5.2.2) — classification runtime ==")
+	eval.PrintTiming(w, results)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "accuracy (stopword removal must not change accuracy materially):")
+	eval.PrintTable(w, "", results, nil)
+	fmt.Fprintln(w)
 
-	// Per-engine preprocessing cost over the full corpus, via the traced
-	// pipeline (where the time goes before classification): each engine
-	// invocation is a span, and the tracer's per-name aggregation yields
-	// the per-engine table.
-	p, err := pipeline.New(
-		textproc.Tokenizer{},
-		textproc.LanguageDetector{},
-		annotate.NewConceptAnnotator(corpus.Taxonomy),
-	)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pipeline:", err)
-		os.Exit(1)
-	}
+	// Per-engine preprocessing cost over the full corpus, via a traced
+	// training run (where the time goes before classification): each
+	// engine invocation is a span, and the tracer's per-name aggregation
+	// yields the per-engine table.
 	tracer := obs.NewTracer(256)
-	reader := bundle.NewReader(corpus.Bundles, bundle.TrainingSources())
-	stats, err := p.RunWithConfig(context.Background(), reader, nil, pipeline.RunConfig{
+	_, stats, err := qatk.New(corpus.Taxonomy).TrainRun(context.Background(), corpus.Bundles, pipeline.RunConfig{
 		DeadLetter: func(d pipeline.DeadLetter) error {
 			fmt.Fprintf(os.Stderr, "pipeline: skipping bundle %d (%s): %v\n", d.Index, d.DocID, d.Err)
 			return nil
@@ -208,8 +202,8 @@ func runFeasibility(corpus *datagen.Corpus) {
 		fmt.Fprintln(os.Stderr, "pipeline:", err)
 		os.Exit(1)
 	}
-	fmt.Println("preprocessing cost per engine (full corpus):")
-	pipeline.PrintSpanReport(os.Stdout, tracer.Stats())
-	pipeline.PrintRunStats(os.Stdout, stats)
-	fmt.Println()
+	fmt.Fprintln(w, "preprocessing cost per engine (full corpus):")
+	pipeline.PrintSpanReport(w, tracer.Stats())
+	pipeline.PrintRunStats(w, stats)
+	fmt.Fprintln(w)
 }

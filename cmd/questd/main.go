@@ -61,7 +61,6 @@ import (
 
 	"repro/internal/bundle"
 	"repro/internal/compare"
-	"repro/internal/core"
 	"repro/internal/kb"
 	"repro/internal/nhtsa"
 	"repro/internal/obs"
@@ -69,6 +68,7 @@ import (
 	obsprof "repro/internal/obs/prof"
 	"repro/internal/obs/reqlog"
 	"repro/internal/pipeline"
+	"repro/internal/qatk"
 	"repro/internal/quest"
 	"repro/internal/reldb"
 	"repro/internal/repl"
@@ -368,7 +368,7 @@ func buildComparison(data string, db *reldb.DB, store *kb.Memory, kbErr error) (
 	if len(complaints) == 0 {
 		return nil, nil, errNoComplaints
 	}
-	clf := compare.NewClassifier(store, tax, kb.BagOfConcepts, core.Jaccard{})
+	clf := compare.NewClassifier(store, qatk.New(tax)) // bag-of-concepts + Jaccard
 	public, err := clf.ComplaintDistribution(complaints)
 	if err != nil {
 		return nil, nil, err

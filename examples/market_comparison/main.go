@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/bundle"
 	"repro/internal/compare"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/kb"
 	"repro/internal/nhtsa"
@@ -41,7 +40,7 @@ func main() {
 	fmt.Printf("classifying %d public complaints covering makes %v\n\n",
 		len(complaints), nhtsa.MakesIn(complaints))
 
-	clf := compare.NewClassifier(store, corpus.Taxonomy, kb.BagOfConcepts, core.Jaccard{})
+	clf := compare.NewClassifier(store, tk)
 	public, err := clf.ComplaintDistribution(complaints)
 	if err != nil {
 		log.Fatal(err)

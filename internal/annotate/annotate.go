@@ -86,7 +86,9 @@ func NewConceptAnnotator(t *taxonomy.Taxonomy, opts ...Option) *ConceptAnnotator
 func (a *ConceptAnnotator) Name() string { return "concept-annotator" }
 
 // Process annotates concept mentions over the Token annotations of the
-// CAS; the Tokenizer engine must have run first.
+// CAS; the Tokenizer engine must have run first. A mention never crosses
+// a report boundary: a match may only extend to the last token of the CAS
+// segment it starts in.
 func (a *ConceptAnnotator) Process(c *cas.CAS) error {
 	toks := c.Select(textproc.TypeToken)
 	norms := make([]string, len(toks))
@@ -100,9 +102,12 @@ func (a *ConceptAnnotator) Process(c *cas.CAS) error {
 		}
 		norms[i] = t.Feature(textproc.FeatNorm)
 	}
-	i := 0
+	i, limit := 0, 0 // limit: one past the last token of token i's segment
 	for i < len(norms) {
-		id, length := a.trie.LongestMatch(norms, i)
+		if i >= limit {
+			limit = segmentEnd(c, toks, i)
+		}
+		id, length := a.trie.LongestMatch(norms[:limit], i)
 		if length == 0 {
 			i++
 			continue
@@ -122,6 +127,20 @@ func (a *ConceptAnnotator) Process(c *cas.CAS) error {
 		i += length
 	}
 	return nil
+}
+
+// segmentEnd returns one past the index of the last token in the segment
+// that token i starts in; a CAS without segments is one segment.
+func segmentEnd(c *cas.CAS, toks []*cas.Annotation, i int) int {
+	seg, ok := c.SegmentFor(toks[i].Begin)
+	if !ok {
+		return len(toks)
+	}
+	j := i + 1
+	for j < len(toks) && toks[j].Begin < seg.End {
+		j++
+	}
+	return j
 }
 
 // ConceptIDs extracts the distinct concept IDs annotated on a CAS, in

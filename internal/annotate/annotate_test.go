@@ -86,6 +86,32 @@ func TestConceptAnnotatorMultiwordAndEnclosed(t *testing.T) {
 	}
 }
 
+// TestConceptAnnotatorStopsAtReportBoundary: "mud" ending the mechanic
+// report and "guard" opening the supplier report are not the multiword
+// "mud guard"; the same two words inside one report are.
+func TestConceptAnnotatorStopsAtReportBoundary(t *testing.T) {
+	a := NewConceptAnnotator(sampleTaxonomy(t))
+	concepts := func(mechanic, supplier string) []int {
+		t.Helper()
+		c := cas.NewFromSegments([]struct{ Source, Text string }{
+			{"mechanic", mechanic}, {"supplier", supplier},
+		})
+		if err := (textproc.Tokenizer{}).Process(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Process(c); err != nil {
+			t.Fatal(err)
+		}
+		return ConceptIDs(c)
+	}
+	if ids := concepts("customer reports mud", "guard cracked"); len(ids) != 0 {
+		t.Fatalf("split across reports: concepts = %v, want none", ids)
+	}
+	if ids := concepts("customer reports mud guard", "cracked"); !reflect.DeepEqual(ids, []int{100}) {
+		t.Fatalf("within one report: concepts = %v, want [100]", ids)
+	}
+}
+
 func TestConceptAnnotatorSynonymCollapse(t *testing.T) {
 	tax := sampleTaxonomy(t)
 	a := NewConceptAnnotator(tax)

@@ -11,14 +11,12 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/annotate"
 	"repro/internal/bundle"
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/kb"
 	"repro/internal/nhtsa"
-	"repro/internal/taxonomy"
-	"repro/internal/textproc"
+	"repro/internal/qatk"
 )
 
 // Share is one slice of a distribution.
@@ -82,21 +80,14 @@ func InternalDistribution(bundles []*bundle.Bundle) *Distribution {
 // while bag-of-words degrades when training and test texts are different
 // text types.
 type Classifier struct {
-	store     kb.Store
-	clf       *core.Classifier
-	annotator *annotate.ConceptAnnotator
-	extractor *kb.Extractor
+	tk  *qatk.Toolkit
+	clf *core.Classifier
 }
 
 // NewClassifier builds the cross-source classifier over an internal
-// knowledge base.
-func NewClassifier(store kb.Store, tax *taxonomy.Taxonomy, model kb.FeatureModel, sim core.Similarity) *Classifier {
-	return &Classifier{
-		store:     store,
-		clf:       core.New(store, sim),
-		annotator: annotate.NewConceptAnnotator(tax),
-		extractor: &kb.Extractor{Model: model},
-	}
+// knowledge base, analyzing texts and scoring them the way tk does.
+func NewClassifier(store kb.Store, tk *qatk.Toolkit) *Classifier {
+	return &Classifier{tk: tk, clf: tk.Classifier(store)}
 }
 
 // ClassifyText assigns the best-ranked error code to one free text. The
@@ -104,14 +95,10 @@ func NewClassifier(store kb.Store, tax *taxonomy.Taxonomy, model kb.FeatureModel
 // candidate selection falls back to the full knowledge base, exactly as
 // §4.3 specifies for unknown part IDs. It returns "" when nothing matches.
 func (c *Classifier) ClassifyText(partID, text string) (string, error) {
-	doc := cas.New(strings.ToLower(text))
-	if err := (textproc.Tokenizer{}).Process(doc); err != nil {
+	feats, err := c.tk.Analyze(cas.New(strings.ToLower(text)))
+	if err != nil {
 		return "", err
 	}
-	if err := c.annotator.Process(doc); err != nil {
-		return "", err
-	}
-	feats := c.extractor.Features(doc)
 	list := c.clf.Recommend(partID, feats)
 	if len(list) == 0 {
 		return "", nil

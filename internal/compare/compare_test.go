@@ -4,13 +4,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/annotate"
 	"repro/internal/bundle"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/kb"
 	"repro/internal/nhtsa"
-	"repro/internal/textproc"
+	"repro/internal/qatk"
 )
 
 func corpusAndKB(t testing.TB) (*datagen.Corpus, *kb.Memory) {
@@ -19,18 +17,9 @@ func corpusAndKB(t testing.TB) (*datagen.Corpus, *kb.Memory) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann := annotate.NewConceptAnnotator(c.Taxonomy)
-	ex := &kb.Extractor{Model: kb.BagOfConcepts}
-	mem := kb.NewMemory()
-	for _, b := range bundle.FilterMultiOccurrence(c.Bundles) {
-		doc := b.CAS()
-		if err := (textproc.Tokenizer{}).Process(doc); err != nil {
-			t.Fatal(err)
-		}
-		if err := ann.Process(doc); err != nil {
-			t.Fatal(err)
-		}
-		mem.AddBundle(b.PartID, b.ErrorCode, ex.Features(doc))
+	mem, err := qatk.New(c.Taxonomy).Train(bundle.FilterMultiOccurrence(c.Bundles))
+	if err != nil {
+		t.Fatal(err)
 	}
 	return c, mem
 }
@@ -74,7 +63,7 @@ func TestInternalDistribution(t *testing.T) {
 
 func TestClassifyText(t *testing.T) {
 	c, mem := corpusAndKB(t)
-	clf := NewClassifier(mem, c.Taxonomy, kb.BagOfConcepts, core.Jaccard{})
+	clf := NewClassifier(mem, qatk.New(c.Taxonomy))
 	// Build a query from a known code's symptoms.
 	spec := c.SortedCodes()[0]
 	var words []string
@@ -101,7 +90,7 @@ func TestClassifyText(t *testing.T) {
 
 func TestComplaintDistribution(t *testing.T) {
 	c, mem := corpusAndKB(t)
-	clf := NewClassifier(mem, c.Taxonomy, kb.BagOfConcepts, core.Jaccard{})
+	clf := NewClassifier(mem, qatk.New(c.Taxonomy))
 	complaints := nhtsa.Generate(nhtsa.GenerateConfig{Seed: 9, Complaints: 120, ZipfS: 1.1}, c)
 	d, err := clf.ComplaintDistribution(complaints)
 	if err != nil {
@@ -145,35 +134,24 @@ func TestPrintSideBySideAndHeadOverlap(t *testing.T) {
 func TestCrossSourceBagOfConceptsBeatsBagOfWords(t *testing.T) {
 	c, _ := corpusAndKB(t)
 	filtered := bundle.FilterMultiOccurrence(c.Bundles)
-	ann := annotate.NewConceptAnnotator(c.Taxonomy)
-
-	build := func(model kb.FeatureModel) *kb.Memory {
-		ex := &kb.Extractor{Model: model}
-		mem := kb.NewMemory()
-		for _, b := range filtered {
-			doc := b.CAS()
-			if err := (textproc.Tokenizer{}).Process(doc); err != nil {
-				t.Fatal(err)
-			}
-			if model == kb.BagOfConcepts {
-				if err := ann.Process(doc); err != nil {
-					t.Fatal(err)
-				}
-			}
-			mem.AddBundle(b.PartID, b.ErrorCode, ex.Features(doc))
+	build := func(model kb.FeatureModel) *Classifier {
+		tk := qatk.New(c.Taxonomy, qatk.WithModel(model))
+		mem, err := tk.Train(filtered)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return mem
+		return NewClassifier(mem, tk)
 	}
 
 	complaints, labels := nhtsa.GenerateLabeled(
 		nhtsa.GenerateConfig{Seed: 17, Complaints: 250, ZipfS: 1.1}, c)
 
-	bocClf := NewClassifier(build(kb.BagOfConcepts), c.Taxonomy, kb.BagOfConcepts, core.Jaccard{})
+	bocClf := build(kb.BagOfConcepts)
 	bocAcc, err := CrossSourceAccuracy(bocClf, complaints, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bowClf := NewClassifier(build(kb.BagOfWords), c.Taxonomy, kb.BagOfWords, core.Jaccard{})
+	bowClf := build(kb.BagOfWords)
 	bowAcc, err := CrossSourceAccuracy(bowClf, complaints, labels)
 	if err != nil {
 		t.Fatal(err)

@@ -12,15 +12,14 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/annotate"
 	"repro/internal/baseline"
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/kb"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
+	"repro/internal/qatk"
 	"repro/internal/taxonomy"
-	"repro/internal/textproc"
 )
 
 // Span names opened by crossValidate (Run and both baselines).
@@ -42,6 +41,8 @@ type Variant struct {
 	Model       kb.FeatureModel
 	Sim         core.Similarity
 	Stopwords   bool            // remove stopwords (bag-of-words only, §5.2.2)
+	SpellNorm   bool            // normalize spelling against the taxonomy vocabulary (§6)
+	Stemming    bool            // stem bag-of-words features (§6)
 	TestSources []bundle.Source // report sources for the test features; nil = all test-phase sources
 }
 
@@ -98,23 +99,18 @@ type Experiment struct {
 	// guard per cross-validation fold, so a wedged variant trips the
 	// stall watchdog with fold attribution. Nil disables it.
 	Flight *flight.Recorder
-
-	annotator *annotate.ConceptAnnotator
-	stopwords textproc.StopwordSet
 }
 
 // New prepares an experiment: it filters singleton-code bundles exactly as
 // §3.2 prescribes and fixes folds and cutoffs to the paper's setup.
 func New(tax *taxonomy.Taxonomy, bundles []*bundle.Bundle) *Experiment {
 	return &Experiment{
-		Taxonomy:  tax,
-		Bundles:   bundle.FilterMultiOccurrence(bundles),
-		Folds:     5,
-		Seed:      1,
-		Ks:        DefaultKs,
-		Clock:     time.Now,
-		annotator: annotate.NewConceptAnnotator(tax),
-		stopwords: textproc.NewStopwordSet(),
+		Taxonomy: tax,
+		Bundles:  bundle.FilterMultiOccurrence(bundles),
+		Folds:    5,
+		Seed:     1,
+		Ks:       DefaultKs,
+		Clock:    time.Now,
 	}
 }
 
@@ -162,43 +158,26 @@ func StratifiedFolds(bundles []*bundle.Bundle, folds int, seed int64) [][]int {
 	return out
 }
 
-// features computes the feature sets of every bundle for one
-// configuration. Engine failures are returned, not panicked: the
-// preprocessing engines run outside a pipeline here, so the error
-// attribution the recovery layer would add must be preserved by hand
-// (qatklint/paniccontract forbids panicking on engine paths).
-func (e *Experiment) features(model kb.FeatureModel, stop bool, sources []bundle.Source) ([][]string, error) {
-	ex := &kb.Extractor{Model: model}
-	if stop && model == kb.BagOfWords {
-		ex.Stopwords = e.stopwords
-	}
-	out := make([][]string, len(e.Bundles))
-	for i, b := range e.Bundles {
-		c := b.CAS(sources...)
-		if err := (textproc.Tokenizer{}).Process(c); err != nil {
-			return nil, fmt.Errorf("eval: tokenize bundle %s: %w", b.RefNo, err)
-		}
-		if model == kb.BagOfConcepts {
-			if err := e.annotator.Process(c); err != nil {
-				return nil, fmt.Errorf("eval: annotate bundle %s: %w", b.RefNo, err)
-			}
-		}
-		out[i] = ex.Features(c)
-	}
-	return out, nil
-}
-
-// featurePair extracts every bundle's training features and its test
-// features from testSources (nil: all test-phase sources).
-func (e *Experiment) featurePair(model kb.FeatureModel, stop bool, testSources []bundle.Source) (train, test [][]string, err error) {
-	if train, err = e.features(model, stop, bundle.TrainingSources()); err != nil {
-		return nil, nil, err
-	}
+// featurePair analyzes every bundle through one qatk.Toolkit configured
+// as v, returning its training features and its test features from
+// v.TestSources (nil: all test-phase sources).
+func (e *Experiment) featurePair(v Variant) (train, test [][]string, err error) {
+	tk := qatk.New(e.Taxonomy, func(t *qatk.Toolkit) {
+		t.Model, t.Stopwords, t.SpellNorm, t.Stemming = v.Model, v.Stopwords, v.SpellNorm, v.Stemming
+	})
+	testSources := v.TestSources
 	if testSources == nil {
 		testSources = bundle.TestSources()
 	}
-	if test, err = e.features(model, stop, testSources); err != nil {
-		return nil, nil, err
+	train = make([][]string, len(e.Bundles))
+	test = make([][]string, len(e.Bundles))
+	for i, b := range e.Bundles {
+		if train[i], err = tk.Features(b, bundle.TrainingSources()); err != nil {
+			return nil, nil, fmt.Errorf("eval: bundle %s: %w", b.RefNo, err)
+		}
+		if test[i], err = tk.Features(b, testSources); err != nil {
+			return nil, nil, fmt.Errorf("eval: bundle %s: %w", b.RefNo, err)
+		}
 	}
 	return train, test, nil
 }
@@ -286,7 +265,7 @@ func (e *Experiment) crossValidate(name string, trainFeats [][]string, newFold f
 
 // Run cross-validates one variant.
 func (e *Experiment) Run(v Variant) (*Result, error) {
-	trainFeats, testFeats, err := e.featurePair(v.Model, v.Stopwords, v.TestSources)
+	trainFeats, testFeats, err := e.featurePair(v)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +304,7 @@ func (e *Experiment) RunFrequencyBaseline() *Result {
 // RunCandidateSetBaseline evaluates the unsorted candidate-set baseline for
 // one feature model (§5.1 baseline 2).
 func (e *Experiment) RunCandidateSetBaseline(model kb.FeatureModel, testSources []bundle.Source) (*Result, error) {
-	trainFeats, testFeats, err := e.featurePair(model, false, testSources)
+	trainFeats, testFeats, err := e.featurePair(Variant{Model: model, TestSources: testSources})
 	if err != nil {
 		return nil, err
 	}

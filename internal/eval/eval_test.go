@@ -46,6 +46,37 @@ func mustRun(t *testing.T, e *Experiment, v Variant) *Result {
 	return r
 }
 
+// TestCrossValidate runs the full protocol on the small corpus.
+func TestCrossValidate(t *testing.T) {
+	c, err := datagen.Generate(datagen.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := mustRun(t, New(c.Taxonomy, c.Bundles), Variant{Name: "bow-j", Model: kb.BagOfWords, Sim: core.Jaccard{}})
+	if res.Accuracy[1] <= 0 || res.Accuracy[25] < res.Accuracy[1] {
+		t.Fatalf("accuracy = %v", res.Accuracy)
+	}
+	if res.KBNodes == 0 || res.TestBundles == 0 || res.Variant != "bow-j" {
+		t.Fatalf("result metadata = %+v", res)
+	}
+}
+
+// TestCrossValidateWithPreprocessing cross-validates a variant with both
+// optional preprocessing engines on.
+func TestCrossValidateWithPreprocessing(t *testing.T) {
+	c, err := datagen.Generate(datagen.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(c.Taxonomy, c.Bundles)
+	e.Folds, e.Ks = 3, []int{1, 10}
+	res := mustRun(t, e, Variant{Name: "bow-j-spell-stem", Model: kb.BagOfWords, Sim: core.Jaccard{},
+		SpellNorm: true, Stemming: true})
+	if res.Accuracy[10] <= 0.3 {
+		t.Fatalf("preprocessed accuracy collapsed: %v", res.Accuracy)
+	}
+}
+
 func TestStratifiedFoldsPartitionAndBalance(t *testing.T) {
 	c := mediumCorpus(t)
 	bundles := bundle.FilterMultiOccurrence(c.Bundles)

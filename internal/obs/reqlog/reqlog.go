@@ -23,17 +23,13 @@ import (
 	"time"
 )
 
-// Stage identifies one timed phase of the serving path. The set mirrors
-// the QATK query pipeline: tokenize and annotate (the live annotate path
-// feeding feature extraction), candidate scoring, ranking, the shard
-// router's merge, and the code dedup collapse.
+// Stage identifies one timed phase of the serving path: candidate
+// scoring, ranking, the shard router's merge, and the code dedup collapse.
 type Stage int
 
 // Stages in serving-path order.
 const (
-	StageTokenize Stage = iota
-	StageAnnotate
-	StageScore
+	StageScore Stage = iota
 	StageRank
 	StageMerge
 	StageDedup
@@ -41,7 +37,7 @@ const (
 )
 
 // stageNames index by Stage.
-var stageNames = [numStages]string{"tokenize", "annotate", "score", "rank", "merge", "dedup"}
+var stageNames = [numStages]string{"score", "rank", "merge", "dedup"}
 
 // String names the stage as it appears in events and reports.
 func (s Stage) String() string {

@@ -12,11 +12,9 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
-	"time"
 
 	"repro/internal/cas"
 	"repro/internal/obs"
-	"repro/internal/obs/reqlog"
 )
 
 // Engine is one analysis step. Process may mutate the CAS.
@@ -43,22 +41,6 @@ type Pipeline struct {
 	// spanNames holds the per-engine trace span names ("engine:<name>"),
 	// precomputed so the processing hot path never concatenates strings.
 	spanNames []string
-	// stages maps each engine to its wide-event stage (-1 = untimed),
-	// precomputed so the hot path does an index lookup, not a name match.
-	stages []reqlog.Stage
-}
-
-// stageForEngine maps the engines that realize a serving-path stage onto
-// the wide event's stage set: tokenization and concept annotation are the
-// live annotate path of a request; everything else is untimed (-1).
-func stageForEngine(name string) reqlog.Stage {
-	switch name {
-	case "tokenizer":
-		return reqlog.StageTokenize
-	case "concept-annotator":
-		return reqlog.StageAnnotate
-	}
-	return -1
 }
 
 // New builds a pipeline from the given engines, in order.
@@ -68,7 +50,6 @@ func New(engines ...Engine) (*Pipeline, error) {
 	}
 	seen := make(map[string]bool, len(engines))
 	spanNames := make([]string, len(engines))
-	stages := make([]reqlog.Stage, len(engines))
 	for i, e := range engines {
 		if e == nil {
 			return nil, errors.New("pipeline: nil engine")
@@ -81,9 +62,8 @@ func New(engines ...Engine) (*Pipeline, error) {
 		}
 		seen[e.Name()] = true
 		spanNames[i] = EngineSpanPrefix + e.Name()
-		stages[i] = stageForEngine(e.Name())
 	}
-	return &Pipeline{engines: engines, spanNames: spanNames, stages: stages}, nil
+	return &Pipeline{engines: engines, spanNames: spanNames}, nil
 }
 
 // Engines returns the engine names in execution order.
@@ -134,25 +114,16 @@ func safeProcess(e Engine, c *cas.CAS) (err error) {
 // engine is recovered and reported the same way (as an *EngineError wrapping
 // a *PanicError).
 func (p *Pipeline) Process(c *cas.CAS) error {
-	return p.process(c, nil, nil, nil)
+	return p.process(c, nil, nil)
 }
 
 // process is Process with a trace seam: every engine runs under its own
 // span (a child of parent) when tr is non-nil. A nil tracer makes every
-// span call a no-op, keeping the disabled path allocation-free; likewise a
-// nil stage clock costs one nil check per engine.
-func (p *Pipeline) process(c *cas.CAS, tr *obs.Tracer, parent *obs.Span, sc *reqlog.StageClock) error {
+// span call a no-op, keeping the disabled path allocation-free.
+func (p *Pipeline) process(c *cas.CAS, tr *obs.Tracer, parent *obs.Span) error {
 	for i, e := range p.engines {
 		span := tr.Start(parent, p.spanNames[i])
-		var t0 time.Time
-		timed := sc != nil && p.stages[i] >= 0
-		if timed {
-			t0 = sc.Start()
-		}
 		err := safeProcess(e, c)
-		if timed {
-			sc.Lap(p.stages[i], t0)
-		}
 		span.End(err)
 		if err != nil {
 			return &EngineError{Engine: e.Name(), Err: err}

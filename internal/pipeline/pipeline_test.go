@@ -337,7 +337,7 @@ func BenchmarkProcessObsEnabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		root := tr.Start(nil, "bench")
-		if err := p.process(c, tr, root, nil); err != nil {
+		if err := p.process(c, tr, root); err != nil {
 			b.Fatal(err)
 		}
 		root.End(nil)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/cas"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/obs/reqlog"
 )
 
 // Fault-isolated collection processing. The paper positions the QATK at
@@ -158,13 +157,11 @@ func (p *Pipeline) RunWithConfig(ctx context.Context, r Reader, consumer Consume
 		doc := cfg.Tracer.Start(run, spanDocument)
 		// The document work runs under pprof labels so CPU profiles
 		// attribute engine and consumer time to pipeline documents, the way
-		// shard workers label their serving goroutines. The stage clock (nil
-		// unless this run serves a live request) credits the tokenize and
-		// annotate engines to the request's wide event.
+		// shard workers label their serving goroutines.
 		var docErr error
 		engine := ""
 		pprof.Do(ctx, pprof.Labels("pipeline", "document"), func(ctx context.Context) {
-			docErr = p.process(c, cfg.Tracer, doc, reqlog.ClockFrom(ctx))
+			docErr = p.process(c, cfg.Tracer, doc)
 			if docErr != nil {
 				var ee *EngineError
 				if errors.As(docErr, &ee) {

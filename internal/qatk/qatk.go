@@ -21,7 +21,8 @@ import (
 	"repro/internal/textproc"
 )
 
-// Toolkit is a configured QATK instance.
+// Toolkit is a configured QATK instance. New reads the configuration
+// fields once, to build the pipeline; set them through Options.
 type Toolkit struct {
 	Taxonomy  *taxonomy.Taxonomy
 	Model     kb.FeatureModel
@@ -30,9 +31,8 @@ type Toolkit struct {
 	SpellNorm bool // spelling normalization against the taxonomy vocabulary
 	Stemming  bool // language-dependent stemming of bag-of-words features
 
-	annotator *annotate.ConceptAnnotator
+	pipeline  *pipeline.Pipeline
 	extractor *kb.Extractor
-	vocab     textproc.Vocabulary
 }
 
 // Option configures a Toolkit.
@@ -58,7 +58,12 @@ func WithSpellNormalization() Option { return func(t *Toolkit) { t.SpellNorm = t
 // bag-of-words extractor use stems, conflating inflectional variants.
 func WithStemming() Option { return func(t *Toolkit) { t.Stemming = true } }
 
-// New builds a Toolkit over a taxonomy.
+// New builds a Toolkit over a taxonomy, with its analysis pipeline:
+// tokenizer, [spell-normalizer], [language-detector + stemmer],
+// [concept-annotator]. The detector runs only for the stemmer, the one
+// engine that reads its output; the multilingual trie annotates without
+// knowing the language. The domain-ignorant model "eliminates the concept
+// annotation step" (§4.4).
 func New(tax *taxonomy.Taxonomy, opts ...Option) *Toolkit {
 	t := &Toolkit{
 		Taxonomy: tax,
@@ -68,18 +73,23 @@ func New(tax *taxonomy.Taxonomy, opts ...Option) *Toolkit {
 	for _, o := range opts {
 		o(t)
 	}
-	t.annotator = annotate.NewConceptAnnotator(tax)
-	t.extractor = &kb.Extractor{Model: t.Model}
+	t.extractor = &kb.Extractor{Model: t.Model, UseCorrections: t.SpellNorm, UseStems: t.Stemming}
 	if t.Stopwords && t.Model == kb.BagOfWords {
 		t.extractor.Stopwords = textproc.NewStopwordSet()
 	}
+	engines := []pipeline.Engine{textproc.Tokenizer{}}
 	if t.SpellNorm {
-		t.vocab = TaxonomyVocabulary(tax)
-		t.extractor.UseCorrections = true
+		engines = append(engines, textproc.SpellNormalizer{Vocab: TaxonomyVocabulary(tax)})
 	}
 	if t.Stemming {
-		t.extractor.UseStems = true
+		engines = append(engines, textproc.LanguageDetector{}, textproc.Stemmer{})
 	}
+	if t.Model == kb.BagOfConcepts {
+		engines = append(engines, annotate.NewConceptAnnotator(tax))
+	}
+	// pipeline.New only rejects empty, nil, unnamed or duplicate engines,
+	// none of which this fixed list can hold.
+	t.pipeline, _ = pipeline.New(engines...)
 	return t
 }
 
@@ -102,46 +112,19 @@ func TaxonomyVocabulary(tax *taxonomy.Taxonomy) textproc.Vocabulary {
 	return v
 }
 
-// Pipeline returns the analysis pipeline for this configuration: tokenizer
-// and language detector always, the concept annotator only for the
-// domain-specific model (the domain-ignorant variant "eliminates the
-// concept annotation step", §4.4).
-func (t *Toolkit) Pipeline() (*pipeline.Pipeline, error) {
-	engines := []pipeline.Engine{textproc.Tokenizer{}}
-	if t.SpellNorm {
-		engines = append(engines, textproc.SpellNormalizer{Vocab: t.vocab})
-	}
-	engines = append(engines, textproc.LanguageDetector{})
-	if t.Stemming {
-		engines = append(engines, textproc.Stemmer{})
-	}
-	if t.Model == kb.BagOfConcepts {
-		engines = append(engines, t.annotator)
-	}
-	return pipeline.New(engines...)
-}
-
-// Analyze runs the pipeline over one bundle's report sources and returns
-// the analyzed CAS.
-func (t *Toolkit) Analyze(b *bundle.Bundle, sources []bundle.Source) (*cas.CAS, error) {
-	p, err := t.Pipeline()
-	if err != nil {
-		return nil, err
-	}
-	c := b.CAS(sources...)
-	if err := p.Process(c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Features extracts the feature set of one bundle.
-func (t *Toolkit) Features(b *bundle.Bundle, sources []bundle.Source) ([]string, error) {
-	c, err := t.Analyze(b, sources)
-	if err != nil {
+// Analyze runs the pipeline over c and returns c's feature set. It is
+// the one analysis path: training, classification, cross-validation and
+// the cross-source comparison all extract their features through it.
+func (t *Toolkit) Analyze(c *cas.CAS) ([]string, error) {
+	if err := t.pipeline.Process(c); err != nil {
 		return nil, err
 	}
 	return t.extractor.Features(c), nil
+}
+
+// Features extracts the feature set of one bundle's report sources.
+func (t *Toolkit) Features(b *bundle.Bundle, sources []bundle.Source) ([]string, error) {
+	return t.Analyze(b.CAS(sources...))
 }
 
 // Train builds the in-memory knowledge base from training bundles (the
@@ -163,10 +146,6 @@ func (t *Toolkit) Train(bundles []*bundle.Bundle) (*kb.Memory, error) {
 // run's statistics are returned alongside the knowledge base. ctx cancels
 // the run at a bundle boundary.
 func (t *Toolkit) TrainRun(ctx context.Context, bundles []*bundle.Bundle, cfg pipeline.RunConfig) (*kb.Memory, pipeline.Stats, error) {
-	p, err := t.Pipeline()
-	if err != nil {
-		return nil, pipeline.Stats{}, err
-	}
 	mem := kb.NewMemory()
 	reader := bundle.NewReader(bundles, bundle.TrainingSources())
 	consumer := pipeline.ConsumerFunc(func(c *cas.CAS) error {
@@ -177,7 +156,7 @@ func (t *Toolkit) TrainRun(ctx context.Context, bundles []*bundle.Bundle, cfg pi
 		mem.AddBundle(c.Metadata(bundle.MetaPartID), code, t.extractor.Features(c))
 		return nil
 	})
-	stats, err := p.RunWithConfig(ctx, reader, consumer, cfg)
+	stats, err := t.pipeline.RunWithConfig(ctx, reader, consumer, cfg)
 	if err != nil {
 		return nil, stats, err
 	}

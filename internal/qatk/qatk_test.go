@@ -1,6 +1,7 @@
 package qatk
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,24 +21,22 @@ func corpus(t testing.TB) *datagen.Corpus {
 	return c
 }
 
+// TestPipelineComposition: the bag-of-words model skips concept
+// annotation, and the language detector runs only for the stemmer.
 func TestPipelineComposition(t *testing.T) {
 	c := corpus(t)
-	boc := New(c.Taxonomy)
-	p, err := boc.Pipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := p.Engines()
-	if len(names) != 3 || names[2] != "concept-annotator" {
-		t.Fatalf("bag-of-concepts pipeline = %v", names)
-	}
-	bow := New(c.Taxonomy, WithModel(kb.BagOfWords))
-	p, err = bow.Pipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Engines()) != 2 {
-		t.Fatalf("bag-of-words pipeline = %v (must skip concept annotation)", p.Engines())
+	for _, tc := range []struct {
+		opts []Option
+		want []string
+	}{
+		{nil, []string{"tokenizer", "concept-annotator"}},
+		{[]Option{WithModel(kb.BagOfWords)}, []string{"tokenizer"}},
+		{[]Option{WithModel(kb.BagOfWords), WithSpellNormalization(), WithStemming()},
+			[]string{"tokenizer", "spell-normalizer", "language-detector", "stemmer"}},
+	} {
+		if got := New(c.Taxonomy, tc.opts...).pipeline.Engines(); !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("pipeline = %v, want %v", got, tc.want)
+		}
 	}
 }
 
@@ -165,50 +164,6 @@ func TestStopwordOption(t *testing.T) {
 	}
 	if len(f2) >= len(f1) {
 		t.Fatalf("stopword removal did not shrink features: %d vs %d", len(f2), len(f1))
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	c := corpus(t)
-	tk := New(c.Taxonomy, WithModel(kb.BagOfWords))
-	res, err := tk.CrossValidate(c.Bundles, 5, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accuracy[1] <= 0 || res.Accuracy[25] < res.Accuracy[1] {
-		t.Fatalf("accuracy = %v", res.Accuracy)
-	}
-	if res.KBNodes == 0 || res.TestBundles == 0 {
-		t.Fatalf("result metadata = %+v", res)
-	}
-	if res.Variant == "" {
-		t.Fatal("variant unnamed")
-	}
-}
-
-func TestCrossValidateWithPreprocessing(t *testing.T) {
-	c := corpus(t)
-	tk := New(c.Taxonomy, WithModel(kb.BagOfWords), WithSpellNormalization(), WithStemming())
-	p, err := tk.Pipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := p.Engines()
-	want := []string{"tokenizer", "spell-normalizer", "language-detector", "stemmer"}
-	if len(names) != len(want) {
-		t.Fatalf("pipeline = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("pipeline = %v, want %v", names, want)
-		}
-	}
-	res, err := tk.CrossValidate(c.Bundles, 3, 1, []int{1, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accuracy[10] <= 0.3 {
-		t.Fatalf("preprocessed accuracy collapsed: %v", res.Accuracy)
 	}
 }
 

@@ -146,3 +146,67 @@ func TestServingPathsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalMatchesServing is the eval-vs-serving contract: fold 0 of the
+// bag-of-concepts + Jaccard cross-validation, ranked through a router over
+// the fold's trained knowledge base with the bundles' real part IDs, scores
+// exactly the accuracies eval.Run reports for that fold.
+func TestEvalMatchesServing(t *testing.T) {
+	corpus, err := datagen.Generate(datagen.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := eval.New(corpus.Taxonomy, corpus.Bundles)
+	res, err := e.Run(eval.Variant{Name: "boc-j", Model: kb.BagOfConcepts, Sim: core.Jaccard{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := eval.StratifiedFolds(e.Bundles, e.Folds, e.Seed)[0]
+	heldOut := map[int]bool{}
+	for _, idx := range fold {
+		heldOut[idx] = true
+	}
+	var train []*bundle.Bundle
+	for i, b := range e.Bundles {
+		if !heldOut[i] {
+			train = append(train, b)
+		}
+	}
+	tk := qatk.New(corpus.Taxonomy) // bag-of-concepts + Jaccard
+	mem, err := tk.Train(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := shard.New(shard.Config{Stores: shard.PartitionStores(mem, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	hits := map[int]int{}
+	for _, idx := range fold {
+		b := e.Bundles[idx]
+		feats, err := tk.Features(b, bundle.TestSources())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Query(context.Background(), b.PartID, feats)
+		if err != nil {
+			t.Fatalf("query %s: %v", b.RefNo, err)
+		}
+		if got.Degraded {
+			t.Fatalf("query %s answered degraded", b.RefNo)
+		}
+		rank := core.Rank(got.Codes, b.ErrorCode)
+		for _, k := range e.Ks {
+			if rank > 0 && rank <= k {
+				hits[k]++
+			}
+		}
+	}
+	for _, k := range e.Ks {
+		if acc := float64(hits[k]) / float64(len(fold)); acc != res.PerFold[0][k] {
+			t.Errorf("accuracy@%d: serving %v, eval %v", k, acc, res.PerFold[0][k])
+		}
+	}
+}

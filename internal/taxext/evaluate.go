@@ -1,13 +1,11 @@
 package taxext
 
 import (
-	"repro/internal/annotate"
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/kb"
+	"repro/internal/qatk"
 	"repro/internal/taxonomy"
-	"repro/internal/textproc"
 )
 
 // Evaluate cross-validates the bag-of-concepts classifier with per-fold
@@ -48,35 +46,18 @@ func Evaluate(tax *taxonomy.Taxonomy, bundles []*bundle.Bundle, cfg Config, sim 
 		}
 		addedTotal += added
 
-		ann := annotate.NewConceptAnnotator(ext)
-		extractor := &kb.Extractor{Model: kb.BagOfConcepts}
-		features := func(b *bundle.Bundle, sources []bundle.Source) ([]string, error) {
-			c := b.CAS(sources...)
-			if err := (textproc.Tokenizer{}).Process(c); err != nil {
-				return nil, err
-			}
-			if err := ann.Process(c); err != nil {
-				return nil, err
-			}
-			return extractor.Features(c), nil
+		tk := qatk.New(ext, qatk.WithSimilarity(sim))
+		mem, err := tk.Train(train)
+		if err != nil {
+			return nil, 0, err
 		}
-
-		mem := kb.NewMemory()
-		for _, b := range train {
-			feats, err := features(b, bundle.TrainingSources())
-			if err != nil {
-				return nil, 0, err
-			}
-			mem.AddBundle(b.PartID, b.ErrorCode, feats)
-		}
-		clf := core.New(mem, sim)
 		for _, idx := range foldIdx[f] {
 			b := filtered[idx]
-			feats, err := features(b, bundle.TestSources())
+			list, err := tk.Recommend(mem, b)
 			if err != nil {
 				return nil, 0, err
 			}
-			r := core.Rank(clf.Recommend(b.PartID, feats), b.ErrorCode)
+			r := core.Rank(list, b.ErrorCode)
 			for _, k := range ks {
 				if r > 0 && r <= k {
 					hits[k]++

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/annotate"
 	"repro/internal/bundle"
+	"repro/internal/qatk"
 	"repro/internal/taxonomy"
 	"repro/internal/textproc"
 )
@@ -57,7 +58,7 @@ func Mine(tax *taxonomy.Taxonomy, bundles []*bundle.Bundle, cfg Config) ([]Propo
 	if cfg.MinTermLength <= 0 {
 		cfg.MinTermLength = 4
 	}
-	ann := annotate.NewConceptAnnotator(tax)
+	tk := qatk.New(tax)
 	stop := textproc.NewStopwordSet()
 
 	// term → code → bundle count
@@ -67,10 +68,7 @@ func Mine(tax *taxonomy.Taxonomy, bundles []*bundle.Bundle, cfg Config) ([]Propo
 			return nil, fmt.Errorf("taxext: bundle %s has no error code", b.RefNo)
 		}
 		c := b.CAS(bundle.TrainingSources()...)
-		if err := (textproc.Tokenizer{}).Process(c); err != nil {
-			return nil, err
-		}
-		if err := ann.Process(c); err != nil {
+		if _, err := tk.Analyze(c); err != nil {
 			return nil, err
 		}
 		// Byte ranges covered by concept annotations.
