@@ -73,6 +73,7 @@ chaos-repl:
 ## a regression test of the ordinary suite.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFeatures$$' -fuzztime 10s ./internal/qatk
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/reldb
 
 ## golden: run `experiments -small -all` and diff its output, wall-clock
 ## columns masked, against cmd/experiments/testdata/small_all.golden.

@@ -8,6 +8,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -43,7 +44,7 @@ type Variant struct {
 	Stopwords   bool            // remove stopwords (bag-of-words only, §5.2.2)
 	SpellNorm   bool            // normalize spelling against the taxonomy vocabulary (§6)
 	Stemming    bool            // stem bag-of-words features (§6)
-	TestSources []bundle.Source // report sources for the test features; nil = all test-phase sources
+	TestSources []bundle.Source // report sources for the test features; nil or empty = all test-phase sources
 }
 
 // StandardVariants are the four variants of experiment 1 (Fig. 11).
@@ -158,28 +159,88 @@ func StratifiedFolds(bundles []*bundle.Bundle, folds int, seed int64) [][]int {
 	return out
 }
 
-// featurePair analyzes every bundle through one qatk.Toolkit configured
-// as v, returning its training features and its test features from
-// v.TestSources (nil: all test-phase sources).
-func (e *Experiment) featurePair(v Variant) (train, test [][]string, err error) {
+// sameToolkit reports whether a and b configure the analysis alike, so
+// that their features are equal.
+func sameToolkit(a, b Variant) bool {
+	return a.Model == b.Model && a.Stopwords == b.Stopwords && a.SpellNorm == b.SpellNorm && a.Stemming == b.Stemming
+}
+
+// testSources returns the report sources of v's test features: all
+// test-phase sources unless v names some.
+func (v Variant) testSources() []bundle.Source {
+	if len(v.TestSources) == 0 {
+		return bundle.TestSources()
+	}
+	return v.TestSources
+}
+
+// variantClassifier builds variant v's classifier for one fold over the
+// fold's knowledge base, given every bundle's test features.
+type variantClassifier func(v Variant, mem *kb.Memory, testFeats [][]string) foldClassifier
+
+// crossValidateAll cross-validates variants, each result at its variant's
+// index, stopping at the first failure. It groups the variants by toolkit
+// configuration and analyses every bundle once per group: one
+// qatk.Toolkit.FeatureSets call per bundle yields its training features
+// and its features for each distinct test-source set of the group. The
+// group's variants all read those tables, which are dropped before the
+// next group is analysed.
+func (e *Experiment) crossValidateAll(variants []Variant, classifier variantClassifier) ([]*Result, error) {
+	out := make([]*Result, len(variants))
+	for i, v := range variants {
+		if out[i] != nil { // ran in an earlier variant's group
+			continue
+		}
+		var group []int
+		for j := i; j < len(variants); j++ {
+			if sameToolkit(variants[j], v) {
+				group = append(group, j)
+			}
+		}
+		if err := e.crossValidateGroup(variants, group, classifier, out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// crossValidateGroup cross-validates the variants at indexes group, which
+// share a toolkit configuration, into out.
+func (e *Experiment) crossValidateGroup(variants []Variant, group []int, classifier variantClassifier, out []*Result) error {
+	cfg := variants[group[0]]
 	tk := qatk.New(e.Taxonomy, func(t *qatk.Toolkit) {
-		t.Model, t.Stopwords, t.SpellNorm, t.Stemming = v.Model, v.Stopwords, v.SpellNorm, v.Stemming
+		t.Model, t.Stopwords, t.SpellNorm, t.Stemming = cfg.Model, cfg.Stopwords, cfg.SpellNorm, cfg.Stemming
 	})
-	testSources := v.TestSources
-	if testSources == nil {
-		testSources = bundle.TestSources()
+	sets := [][]bundle.Source{bundle.TrainingSources()}
+	table := make([]int, len(group)) // each variant's test set, an index into sets
+	for g, i := range group {
+		src := variants[i].testSources()
+		table[g] = slices.IndexFunc(sets, func(s []bundle.Source) bool { return slices.Equal(s, src) })
+		if table[g] < 0 {
+			table[g] = len(sets)
+			sets = append(sets, src)
+		}
 	}
-	train = make([][]string, len(e.Bundles))
-	test = make([][]string, len(e.Bundles))
+	feats := make([][][]string, len(sets)) // feats[set][bundle]
+	for s := range feats {
+		feats[s] = make([][]string, len(e.Bundles))
+	}
 	for i, b := range e.Bundles {
-		if train[i], err = tk.Features(b, bundle.TrainingSources()); err != nil {
-			return nil, nil, fmt.Errorf("eval: bundle %s: %w", b.RefNo, err)
+		fs, err := tk.FeatureSets(b, sets...)
+		if err != nil {
+			return fmt.Errorf("eval: bundle %s: %w", b.RefNo, err)
 		}
-		if test[i], err = tk.Features(b, testSources); err != nil {
-			return nil, nil, fmt.Errorf("eval: bundle %s: %w", b.RefNo, err)
+		for s := range fs {
+			feats[s][i] = fs[s]
 		}
 	}
-	return train, test, nil
+	for g, i := range group {
+		v, test := variants[i], feats[table[g]]
+		out[i] = e.crossValidate(v.Name, feats[0], func(mem *kb.Memory) foldClassifier {
+			return classifier(v, mem, test)
+		})
+	}
+	return nil
 }
 
 // foldClassifier ranks held-out bundle idx over one fold's knowledge base
@@ -265,29 +326,22 @@ func (e *Experiment) crossValidate(name string, trainFeats [][]string, newFold f
 
 // Run cross-validates one variant.
 func (e *Experiment) Run(v Variant) (*Result, error) {
-	trainFeats, testFeats, err := e.featurePair(v)
+	res, err := e.RunAll([]Variant{v})
 	if err != nil {
 		return nil, err
 	}
-	return e.crossValidate(v.Name, trainFeats, func(mem *kb.Memory) foldClassifier {
+	return res[0], nil
+}
+
+// RunAll cross-validates several variants, stopping at the first failure.
+// Variants that share a toolkit configuration share one analysis pass.
+func (e *Experiment) RunAll(variants []Variant) ([]*Result, error) {
+	return e.crossValidateAll(variants, func(v Variant, mem *kb.Memory, testFeats [][]string) foldClassifier {
 		clf := core.New(mem, v.Sim)
 		return func(idx int) ([]core.ScoredCode, int) {
 			return clf.RecommendCounted(e.Bundles[idx].PartID, testFeats[idx])
 		}
-	}), nil
-}
-
-// RunAll cross-validates several variants, stopping at the first failure.
-func (e *Experiment) RunAll(variants []Variant) ([]*Result, error) {
-	out := make([]*Result, len(variants))
-	for i, v := range variants {
-		r, err := e.Run(v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
+	})
 }
 
 // RunFrequencyBaseline evaluates the code-frequency baseline (§5.1). It
@@ -302,18 +356,18 @@ func (e *Experiment) RunFrequencyBaseline() *Result {
 }
 
 // RunCandidateSetBaseline evaluates the unsorted candidate-set baseline for
-// one feature model (§5.1 baseline 2).
+// one feature model (§5.1 baseline 2) over the test features of
+// testSources (nil or empty: all test-phase sources).
 func (e *Experiment) RunCandidateSetBaseline(model kb.FeatureModel, testSources []bundle.Source) (*Result, error) {
-	trainFeats, testFeats, err := e.featurePair(Variant{Model: model, TestSources: testSources})
+	v := Variant{Name: fmt.Sprintf("candidate set baseline (%s)", model), Model: model, TestSources: testSources}
+	res, err := e.crossValidateAll([]Variant{v}, func(_ Variant, mem *kb.Memory, testFeats [][]string) foldClassifier {
+		bl := baseline.CandidateSet{Store: mem}
+		return func(idx int) ([]core.ScoredCode, int) {
+			return bl.Recommend(e.Bundles[idx].PartID, testFeats[idx]), 0
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	name := fmt.Sprintf("candidate set baseline (%s)", model)
-	return e.crossValidate(name, trainFeats, func(mem *kb.Memory) foldClassifier {
-		bl := baseline.CandidateSet{Store: mem}
-		return func(idx int) ([]core.ScoredCode, int) {
-			b := e.Bundles[idx]
-			return bl.Recommend(b.PartID, testFeats[idx]), 0
-		}
-	}), nil
+	return res[0], nil
 }

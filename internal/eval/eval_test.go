@@ -36,6 +36,15 @@ func mediumCorpus(t testing.TB) *datagen.Corpus {
 	return c
 }
 
+func smallCorpus(t testing.TB) *datagen.Corpus {
+	t.Helper()
+	c, err := datagen.Generate(datagen.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // mustRun is Run for tests, failing the test on engine errors.
 func mustRun(t *testing.T, e *Experiment, v Variant) *Result {
 	t.Helper()
@@ -48,10 +57,7 @@ func mustRun(t *testing.T, e *Experiment, v Variant) *Result {
 
 // TestCrossValidate runs the full protocol on the small corpus.
 func TestCrossValidate(t *testing.T) {
-	c, err := datagen.Generate(datagen.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := smallCorpus(t)
 	res := mustRun(t, New(c.Taxonomy, c.Bundles), Variant{Name: "bow-j", Model: kb.BagOfWords, Sim: core.Jaccard{}})
 	if res.Accuracy[1] <= 0 || res.Accuracy[25] < res.Accuracy[1] {
 		t.Fatalf("accuracy = %v", res.Accuracy)
@@ -64,16 +70,78 @@ func TestCrossValidate(t *testing.T) {
 // TestCrossValidateWithPreprocessing cross-validates a variant with both
 // optional preprocessing engines on.
 func TestCrossValidateWithPreprocessing(t *testing.T) {
-	c, err := datagen.Generate(datagen.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := smallCorpus(t)
 	e := New(c.Taxonomy, c.Bundles)
 	e.Folds, e.Ks = 3, []int{1, 10}
 	res := mustRun(t, e, Variant{Name: "bow-j-spell-stem", Model: kb.BagOfWords, Sim: core.Jaccard{},
 		SpellNorm: true, Stemming: true})
 	if res.Accuracy[10] <= 0.3 {
 		t.Fatalf("preprocessed accuracy collapsed: %v", res.Accuracy)
+	}
+}
+
+// TestRunAllMatchesRun: over an interleaved list that mixes toolkit
+// configurations and test sources and repeats configurations out of
+// order, RunAll returns every variant's result at its index, equal to that
+// variant's own Run.
+func TestRunAllMatchesRun(t *testing.T) {
+	c := smallCorpus(t)
+	e := New(c.Taxonomy, c.Bundles)
+	e.Clock = nil
+	std := StandardVariants()
+	boc := std[2]
+	boc.Name = "bag-of-concepts + jaccard, again"
+	variants := []Variant{
+		std[2],
+		SourceVariants("mechanic:", bundle.SourceMechanic)[0],
+		std[0],
+		{Name: "bow-j-spell-stem", Model: kb.BagOfWords, Sim: core.Jaccard{}, SpellNorm: true, Stemming: true},
+		std[3],
+		SourceVariants("supplier:", bundle.SourceSupplier)[2],
+		std[1],
+		boc,
+	}
+	got, err := e.RunAll(variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(variants) {
+		t.Fatalf("RunAll returned %d results for %d variants", len(got), len(variants))
+	}
+	for i, v := range variants {
+		if want := mustRun(t, e, v); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("result %d (%s):\n got %+v\nwant %+v", i, v.Name, got[i], want)
+		}
+	}
+}
+
+// TestEmptyTestSourcesMeanAllTestSources: empty test sources, like nil,
+// mean every test-phase source. They must not fall back to the training
+// sources, whose final OEM report and error-code description hold the
+// answer.
+func TestEmptyTestSourcesMeanAllTestSources(t *testing.T) {
+	c := smallCorpus(t)
+	e := New(c.Taxonomy, c.Bundles)
+	e.Clock = nil
+	v := Variant{Name: "boc-j", Model: kb.BagOfConcepts, Sim: core.Jaccard{}}
+	empty := v
+	empty.TestSources = []bundle.Source{}
+	if got, want := mustRun(t, e, empty), mustRun(t, e, v); !reflect.DeepEqual(got, want) {
+		t.Errorf("empty test sources: acc@1 %.3f, want %.3f as with nil", got.Accuracy[1], want.Accuracy[1])
+	}
+	for _, model := range []kb.FeatureModel{kb.BagOfWords, kb.BagOfConcepts} {
+		got, err := e.RunCandidateSetBaseline(model, []bundle.Source{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.RunCandidateSetBaseline(model, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("candidate set baseline (%s), empty test sources: acc@1 %.3f, want %.3f as with nil",
+				model, got.Accuracy[1], want.Accuracy[1])
+		}
 	}
 }
 

@@ -127,6 +127,69 @@ func (t *Toolkit) Features(b *bundle.Bundle, sources []bundle.Source) ([]string,
 	return t.Analyze(b.CAS(sources...))
 }
 
+// FeatureSets extracts the feature sets of several source sets of one
+// bundle, analysing each distinct report the sets name once, as a CAS of
+// its own. A set's features are the sorted, duplicate-free union of its
+// reports' features, allocated at exact length because a cross-validation
+// holds one per bundle; a set naming no present report has none. The union equals Features of the same sources because
+// no engine looks across a report boundary: tokens cannot span the "\n"
+// that joins reports, the detector and stemmer work per segment, spelling
+// correction and extraction per token, and concept matches end at the
+// segment boundary. FeatureSets keeps nothing between calls.
+func (t *Toolkit) FeatureSets(b *bundle.Bundle, sets ...[]bundle.Source) ([][]string, error) {
+	reports := map[bundle.Source][]string{} // features of each present report named
+	for _, set := range sets {
+		for _, s := range set {
+			if _, done := reports[s]; done || b.ReportText(s) == "" {
+				continue
+			}
+			f, err := t.Analyze(b.CAS(s))
+			if err != nil {
+				return nil, fmt.Errorf("qatk: %s report: %w", s, err)
+			}
+			reports[s] = f
+		}
+	}
+	out := make([][]string, len(sets))
+	var parts [][]string
+	for i, set := range sets {
+		parts = parts[:0]
+		for _, s := range set {
+			parts = append(parts, reports[s])
+		}
+		out[i] = make([]string, mergeSorted(parts, nil))
+		mergeSorted(parts, out[i])
+	}
+	return out, nil
+}
+
+// mergeSorted walks the union of sorted, duplicate-free sets in order,
+// storing it into out unless out is nil, and returns its length.
+func mergeSorted(sets [][]string, out []string) int {
+	next := make([]int, len(sets))
+	n := 0
+	for {
+		least, found := "", false
+		for i, s := range sets {
+			if next[i] < len(s) && (!found || s[next[i]] < least) {
+				least, found = s[next[i]], true
+			}
+		}
+		if !found {
+			return n
+		}
+		for i, s := range sets {
+			if next[i] < len(s) && s[next[i]] == least {
+				next[i]++
+			}
+		}
+		if out != nil {
+			out[n] = least
+		}
+		n++
+	}
+}
+
 // Train builds the in-memory knowledge base from training bundles (the
 // training phase of §4.4: all report sources including the final OEM
 // report and the error-code description are available). The first failing

@@ -610,6 +610,9 @@ func decodeRecord(br *bytes.Reader) (walRecord, error) {
 		if err != nil {
 			return r, err
 		}
+		if n > uint64(br.Len()) { // every value takes at least its tag byte
+			return r, errors.New("row length exceeds buffer")
+		}
 		r.Row = make(Row, n)
 		for i := uint64(0); i < n; i++ {
 			if r.Row[i], err = readValue(br); err != nil {
