@@ -74,6 +74,7 @@ chaos-repl:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFeatures$$' -fuzztime 10s ./internal/qatk
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/reldb
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s ./internal/reldb
 
 ## golden: run `experiments -small -all` and diff its output, wall-clock
 ## columns masked, against cmd/experiments/testdata/small_all.golden.
@@ -95,7 +96,11 @@ BENCH_SWEEP = { $(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ; \
 
 ## bench: full benchmark suite -> BENCH_pr$(PR).json (see EXPERIMENTS.md),
 ## stamped with the PR ordinal so benchtrend orders baselines structurally.
+## Committed baselines are history: it fails rather than overwrite one, so
+## pass the ordinal of the change being measured (make bench PR=N).
 bench:
+	@if [ -e BENCH_pr$(PR).json ]; then \
+	  echo "bench: BENCH_pr$(PR).json exists; run make bench PR=<this change's ordinal>"; exit 1; fi
 	$(BENCH_SWEEP) | $(GO) run ./cmd/benchjson -pr $(PR) -o BENCH_pr$(PR).json
 
 ## bench-trend: render the cross-PR trend table (ns/op, B/op, allocs/op,
@@ -130,7 +135,8 @@ bench-meta:
 
 ## bench-load: closed-loop load against a 4-shard in-process server with
 ## one artificially slow shard and two WAL-shipped read replicas ->
-## BENCH_pr9.json. The hedged fan-out must keep p99 inside the 50ms SLO
+## bench_load.json (gitignored; committed baselines are not rewritten).
+## The hedged fan-out must keep p99 inside the 50ms SLO
 ## despite the 50ms-slow primary, with the hedges served by a fresh
 ## replica (the replica-served column); the line also carries the
 ## wide-event per-stage breakdown (stage-*-ms) plus the hedged/degraded/
@@ -138,17 +144,18 @@ bench-meta:
 bench-load:
 	$(GO) run ./cmd/loadgen -shards 4 -slow-shard 2 -slow-delay 50ms \
 	  -replicas 2 -rps 200 -duration 10s -slo-p99 50ms | \
-	  $(GO) run ./cmd/benchjson -o BENCH_pr9.json
+	  $(GO) run ./cmd/benchjson -o bench_load.json
 
-## bench-alloc: the //qatk:hotpath contract in numbers -> BENCH_pr7.json.
-## Runs the hot-path benchmarks with -benchmem and fails unless every
-## metric mutator (BenchmarkHot*) and disabled-observability fast path
-## (*Disabled) reports exactly 0 allocs/op.
+## bench-alloc: the //qatk:hotpath contract in numbers -> bench_alloc.json
+## (gitignored; committed baselines are not rewritten). Runs the hot-path
+## benchmarks with -benchmem and fails unless every metric mutator
+## (BenchmarkHot*) and disabled-observability fast path (*Disabled)
+## reports exactly 0 allocs/op.
 bench-alloc:
 	$(GO) test -run '^$$' -bench 'BenchmarkHot|Disabled$$' -benchmem \
 	  ./internal/obs ./internal/obs/flight ./internal/obs/prof ./internal/obs/reqlog ./internal/pipeline ./internal/repl | \
 	  $(GO) run ./cmd/benchjson -assert-zero-allocs '/BenchmarkHot|Disabled$$' \
-	  -o BENCH_pr7.json
+	  -o bench_alloc.json
 
 ## prof-smoke: boot questd against a tiny generated corpus with a fast
 ## profiler cadence, render one live capture through `qatk prof`, and

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -24,6 +25,21 @@ import (
 
 // spanHTTPRequest names the per-request trace span.
 const spanHTTPRequest = "http.request"
+
+// maxRecordedBytes bounds each request string the serving tier records in
+// a span, a wide event or a log line.
+const maxRecordedBytes = 256
+
+// recorded returns at most maxRecordedBytes of s, copied. net/http slices
+// a request's method, path and query values out of its request line, which
+// may be about 1 MiB long, so recording one as it is would keep the whole
+// line alive for as long as the tracer or the request log holds it.
+func recorded(s string) string {
+	if len(s) > maxRecordedBytes {
+		s = s[:maxRecordedBytes]
+	}
+	return strings.Clone(s)
+}
 
 // Recover wraps a handler so that panics return 500 to the client and are
 // logged with a stack trace instead of killing the serving process; each
@@ -48,14 +64,15 @@ func Recover(logger *obs.Logger, panics *obs.Counter, fr *flight.Recorder, next 
 			// A recovered panic is a hard retention reason for the request's
 			// wide event (nil-safe when request logging is off).
 			reqlog.From(r.Context()).SetPanic(fmt.Sprint(rec))
+			method, path := recorded(r.Method), recorded(r.URL.Path)
 			logger.Error("panic serving request",
-				obs.L("method", r.Method),
-				obs.L("path", r.URL.Path),
+				obs.L("method", method),
+				obs.L("path", path),
 				obs.L("panic", fmt.Sprint(rec)),
 				obs.L("stack", string(debug.Stack())))
 			fr.Trigger(flight.ReasonPanic,
-				obs.L("method", r.Method),
-				obs.L("path", r.URL.Path),
+				obs.L("method", method),
+				obs.L("path", path),
 				obs.L("value", fmt.Sprint(rec)))
 			// The handler may already have written a partial response; the
 			// extra WriteHeader is then a no-op and the client sees a torn
@@ -81,8 +98,8 @@ func WithTimeout(d time.Duration, timeouts *obs.Counter, logger *obs.Logger, nex
 		if errors.Is(r.Context().Err(), context.DeadlineExceeded) {
 			timeouts.Inc()
 			logger.Warn("request timed out",
-				obs.L("method", r.Method),
-				obs.L("path", r.URL.Path),
+				obs.L("method", recorded(r.Method)),
+				obs.L("path", recorded(r.URL.Path)),
 				obs.L("budget", d.String()))
 		}
 	})
@@ -152,6 +169,7 @@ func (sr *statusRecorder) Unwrap() http.ResponseWriter {
 // request (method, path, status attributes), a request counter by status
 // code, a latency histogram, and an in-flight gauge. Each request's
 // latency also feeds the flight recorder's SLO sliding window (nil = off).
+// The method and path it records are cut to maxRecordedBytes.
 // It sits outermost in the chain so that panics recovered further in are
 // still counted with their 500. Nil registry and tracer disable the
 // respective signal.
@@ -172,9 +190,9 @@ func Instrument(reg *obs.Registry, tr *obs.Tracer, fr *flight.Recorder, rl *reql
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		inflight.Add(1)
-		span := tr.Start(nil, spanHTTPRequest,
-			obs.L("method", r.Method), obs.L("path", r.URL.Path))
-		b := rl.Begin(r.Method, r.URL.Path)
+		method, path := recorded(r.Method), recorded(r.URL.Path)
+		span := tr.Start(nil, spanHTTPRequest, obs.L("method", method), obs.L("path", path))
+		b := rl.Begin(method, path)
 		if b != nil {
 			r = r.WithContext(reqlog.NewContext(r.Context(), b))
 		}

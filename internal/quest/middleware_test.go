@@ -7,13 +7,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
+	"repro/internal/obs/reqlog"
 	"repro/internal/reldb"
 )
 
@@ -211,6 +214,45 @@ func TestInstrumentMiddleware(t *testing.T) {
 	}
 	if !gotCode {
 		t.Errorf("span attrs missing status code: %+v", spans[0].Attrs)
+	}
+}
+
+// TestInstrumentBoundsRecordedPath: a request path of 512 KiB, answered
+// 404 and so retained by the request log, is recorded as its first
+// maxRecordedBytes bytes, in the wide event and in the span alike. The
+// recorded method and path are copies: net/http slices both out of the
+// request line, which a recorded slice would keep alive whole.
+func TestInstrumentBoundsRecordedPath(t *testing.T) {
+	tr := obs.NewTracer(8)
+	rl := reqlog.New(reqlog.Config{})
+	path := "/" + strings.Repeat("a", 512<<10)
+	req := httptest.NewRequest("GET", path, nil)
+	rec := httptest.NewRecorder()
+	Instrument(nil, tr, nil, rl, false, http.NotFoundHandler()).ServeHTTP(rec, req)
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("status = %d, want 404", rec.Code)
+	}
+	want := path[:maxRecordedBytes]
+	events := rl.Snapshot()
+	if len(events) != 1 {
+		t.Fatalf("retained events = %d, want 1", len(events))
+	}
+	ev := events[0]
+	if ev.Method != "GET" || ev.Route != want {
+		t.Errorf("event: %s with a route of %d bytes, want GET and the first %d bytes", ev.Method, len(ev.Route), maxRecordedBytes)
+	}
+	if unsafe.StringData(ev.Method) == unsafe.StringData(req.Method) || unsafe.StringData(ev.Route) == unsafe.StringData(req.URL.Path) {
+		t.Error("the event shares memory with the request line")
+	}
+	spans := tr.Snapshot()
+	if len(spans) != 1 {
+		t.Fatalf("spans = %d, want 1", len(spans))
+	}
+	if got := spans[0].Attrs; !slices.Contains(got, obs.L("path", want)) {
+		for _, a := range got {
+			t.Errorf("span attribute %s of %d bytes", a.Key, len(a.Value))
+		}
+		t.Errorf("span lacks the path's first %d bytes", maxRecordedBytes)
 	}
 }
 

@@ -299,8 +299,15 @@ func TestUserCRUDValidation(t *testing.T) {
 	if _, err := AddUser(db, "x", RoleExpert); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AddUser(db, "x", RoleAdmin); err == nil {
-		t.Error("duplicate name accepted")
+	// Rejected duplicates leave the original account findable.
+	for i := 0; i < 2; i++ {
+		if _, err := AddUser(db, "x", RoleAdmin); err == nil {
+			t.Errorf("duplicate name accepted (attempt %d)", i+1)
+		}
+		u, ok, err := GetUser(db, "x")
+		if err != nil || !ok || u.Role != RoleExpert {
+			t.Fatalf("GetUser after duplicate %d = %+v, %v, %v", i+1, u, ok, err)
+		}
 	}
 	if err := DeleteUser(db, "ghost"); err == nil {
 		t.Error("deleting missing user succeeded")
@@ -318,8 +325,15 @@ func TestCatalogValidation(t *testing.T) {
 	if err := AddCode(db, CatalogEntry{Code: "E1", PartID: "P1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := AddCode(db, CatalogEntry{Code: "E1", PartID: "P2"}); err == nil {
-		t.Error("duplicate code accepted")
+	// Rejected duplicates leave the original code findable.
+	for i := 0; i < 2; i++ {
+		if err := AddCode(db, CatalogEntry{Code: "E1", PartID: "P2"}); err == nil {
+			t.Errorf("duplicate code accepted (attempt %d)", i+1)
+		}
+		e, ok, err := GetCode(db, "E1")
+		if err != nil || !ok || e.PartID != "P1" {
+			t.Fatalf("GetCode after duplicate %d = %+v, %v, %v", i+1, e, ok, err)
+		}
 	}
 	codes, err := CodesForPart(db, "P1")
 	if err != nil || len(codes) != 1 {

@@ -81,7 +81,7 @@ func (s *Server) apiRecommend(w http.ResponseWriter, r *http.Request) {
 	// Record the query identity and outcome on the request's wide event
 	// (nil-safe; the builder rides the context from Instrument).
 	rb := reqlog.From(r.Context())
-	rb.Query(part, len(features))
+	rb.Query(recorded(part), len(features))
 	res, err := s.shards.Query(r.Context(), part, features)
 	if err != nil {
 		apiError(w, http.StatusServiceUnavailable, err.Error())

@@ -70,7 +70,7 @@ func BenchmarkFullScanSelect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := db.Select(Query{Table: "t", Where: []Cond{
-			{Col: "score", Op: OpGt, Val: 9990.0},
+			Eq("score", 9995.0),
 		}})
 		if err != nil {
 			b.Fatal(err)
@@ -157,20 +157,5 @@ func BenchmarkCommitSyncNever(b *testing.B) {
 		if _, err := db.Insert("t", Row{nil, "payload payload payload"}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkSkipListInsert(b *testing.B) {
-	sl := newSkipList()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Pseudo-random key order via a multiplicative hash of i.
-		h := uint64(i) * 0x9E3779B97F4A7C15
-		key := []byte{
-			byte(h >> 56), byte(h >> 48), byte(h >> 40), byte(h >> 32),
-			byte(h >> 24), byte(h >> 16), byte(h >> 8), byte(h),
-		}
-		sl.insert(key, int64(i))
 	}
 }

@@ -485,7 +485,7 @@ func (db *DB) updateLocked(tableName string, id int64, row Row) error {
 	if err != nil {
 		return err
 	}
-	if t.pkCol >= 0 && compareSameType(canon[t.pkCol], old[t.pkCol]) != 0 {
+	if t.pkCol >= 0 && compareValues(canon[t.pkCol], old[t.pkCol]) != 0 {
 		return fmt.Errorf("reldb: table %q: primary key of row %d cannot change", tableName, id)
 	}
 	for _, ix := range t.indexes {
@@ -503,17 +503,6 @@ func (db *DB) updateLocked(tableName string, id int64, row Row) error {
 	}
 	t.rows[id] = canon
 	return nil
-}
-
-// compareSameType compares two cells that may be nil or of equal type.
-func compareSameType(a, b Value) int {
-	if a == nil || b == nil {
-		if a == nil && b == nil {
-			return 0
-		}
-		return 1
-	}
-	return compareValues(a, b)
 }
 
 // Delete removes the row with the given id.

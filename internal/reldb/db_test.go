@@ -148,28 +148,60 @@ func TestPrimaryKeyImmutable(t *testing.T) {
 }
 
 func TestUniqueSecondaryIndex(t *testing.T) {
-	db := mustOpenMem(t)
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := db.CreateTable(partsSchema()); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.CreateIndex("parts", "ux_name", true, "name"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Insert("parts", Row{nil, "fender", 1.0, true}); err != nil {
+	fender, err := db.Insert("parts", Row{nil, "fender", 1.0, true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Insert("parts", Row{nil, "fender", 2.0, true}); err == nil {
-		t.Fatal("unique index violation accepted")
+	// findable checks that the index still leads to the row holding name.
+	findable := func(name string, id int64) {
+		t.Helper()
+		_, got, ok, err := db.SelectOne(Query{Table: "parts", Where: []Cond{Eq("name", name)}})
+		if err != nil || !ok || got != id {
+			t.Fatalf("lookup of %q = row %d, ok=%v, err=%v; want row %d", name, got, ok, err, id)
+		}
 	}
-	// The failed insert must not leave a phantom row.
-	n, _ := db.Count("parts")
-	if n != 1 {
-		t.Fatalf("row count after failed insert = %d, want 1", n)
+	for i := 0; i < 2; i++ {
+		if _, err := db.Insert("parts", Row{nil, "fender", 2.0, true}); err == nil {
+			t.Fatalf("duplicate insert %d accepted", i+1)
+		}
+		// The rejected insert leaves neither a phantom row nor a hole in
+		// the index where the first fender was.
+		if n, _ := db.Count("parts"); n != 1 {
+			t.Fatalf("row count after failed insert = %d, want 1", n)
+		}
+		findable("fender", fender)
 	}
-	// And a different name is fine.
-	if _, err := db.Insert("parts", Row{nil, "lamp", 2.0, true}); err != nil {
+	// A different name is fine; renaming it onto fender is not, and the
+	// rejected update leaves both rows where they were.
+	lamp, err := db.Insert("parts", Row{nil, "lamp", 2.0, true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := db.Update("parts", lamp, Row{lamp, "fender", 2.0, true}); err == nil {
+		t.Fatal("update onto an existing unique key accepted")
+	}
+	findable("fender", fender)
+	findable("lamp", lamp)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db.Close()
+	findable("fender", fender)
+	findable("lamp", lamp)
 }
 
 func TestCreateIndexOnExistingRows(t *testing.T) {

@@ -2,108 +2,74 @@ package reldb
 
 import (
 	"fmt"
+	"slices"
 )
 
-// index is a secondary (or primary) index over one or more columns.
-//
-// Keys are the order-preserving encodings of the indexed column values.
-// For unique indexes the skip-list key is exactly that encoding; for
-// non-unique indexes the row id is appended so equal column values remain
-// distinct skip-list entries while still clustering in key order.
+// index is a hash index over one or more columns: it maps the encoded key
+// of a row's indexed columns (see encodeKey) to the ascending ids of the
+// rows that carry it. It answers equality on every one of its columns and
+// nothing else; a unique index holds at most one id per key.
 type index struct {
 	name   string
 	cols   []int // column positions in the table schema
 	unique bool
-	list   *skipList
+	ids    map[string][]int64
 }
 
 func newIndex(name string, cols []int, unique bool) *index {
-	return &index{name: name, cols: cols, unique: unique, list: newSkipList()}
+	return &index{name: name, cols: cols, unique: unique, ids: make(map[string][]int64)}
 }
 
-// colKey encodes the indexed columns of a row.
-func (ix *index) colKey(row Row) []byte {
-	key := make([]byte, 0, 16*len(ix.cols))
+// keyBufSize sizes the stack buffer keys are built in. Longer keys still
+// work; they spill to the heap.
+const keyBufSize = 64
+
+// key appends the encoded indexed columns of row to dst.
+func (ix *index) key(dst []byte, row Row) []byte {
 	for _, c := range ix.cols {
-		key = encodeKey(key, row[c])
+		dst = encodeKey(dst, row[c])
 	}
-	return key
+	return dst
 }
 
-// entryKey is the skip-list key for a row: colKey for unique indexes,
-// colKey plus the row id for non-unique ones.
-func (ix *index) entryKey(row Row, id int64) []byte {
-	key := ix.colKey(row)
-	if !ix.unique {
-		key = encodeKey(key, id)
-	}
-	return key
-}
-
-// insert adds a row to the index, enforcing uniqueness.
+// insert adds id under row's key, enforcing uniqueness.
 func (ix *index) insert(row Row, id int64) error {
-	if !ix.list.insert(ix.entryKey(row, id), id) {
+	var buf [keyBufSize]byte
+	key := ix.key(buf[:0], row)
+	ids := ix.ids[string(key)]
+	if ix.unique && len(ids) > 0 {
 		return fmt.Errorf("reldb: unique index %q violated by %s", ix.name, FormatValue(row[ix.cols[0]]))
 	}
+	i, _ := slices.BinarySearch(ids, id)
+	ix.ids[string(key)] = slices.Insert(ids, i, id)
 	return nil
 }
 
-// remove deletes a row from the index.
+// remove deletes id from under row's key and nothing else; it is a no-op
+// when id is not there.
 func (ix *index) remove(row Row, id int64) {
-	ix.list.delete(ix.entryKey(row, id))
-}
-
-// lookup finds all row ids whose indexed columns equal vals (a full-prefix
-// equality match over len(vals) leading index columns).
-func (ix *index) lookup(vals []Value) []int64 {
-	prefix := make([]byte, 0, 16*len(vals))
-	for _, v := range vals {
-		prefix = encodeKey(prefix, v)
-	}
-	var ids []int64
-	for n := ix.list.seek(prefix); n != nil && hasPrefix(n.key, prefix); n = n.next[0] {
-		ids = append(ids, n.val)
-	}
-	return ids
-}
-
-// scanRange walks entries whose first indexed column lies within the given
-// bounds (nil bound = open). fn returning false stops the scan early.
-func (ix *index) scanRange(lo, hi Value, loIncl, hiIncl bool, fn func(id int64) bool) {
-	var start []byte
-	if lo != nil {
-		start = encodeKey(nil, lo)
-	}
-	n := ix.list.seek(start)
-	if lo != nil && !loIncl {
-		// Skip all entries whose first column equals lo.
-		for n != nil && hasPrefix(n.key, start) {
-			n = n.next[0]
-		}
-	}
-	var hiKey []byte
-	if hi != nil {
-		hiKey = encodeKey(nil, hi)
-	}
-	for ; n != nil; n = n.next[0] {
-		if hi != nil {
-			if hiIncl {
-				if compareBytes(n.key, hiKey) >= 0 && !hasPrefix(n.key, hiKey) {
-					return
-				}
-			} else if compareBytes(n.key, hiKey) >= 0 {
-				return
-			}
-		}
-		if !fn(n.val) {
-			return
-		}
+	var buf [keyBufSize]byte
+	key := ix.key(buf[:0], row)
+	ids := ix.ids[string(key)]
+	i, found := slices.BinarySearch(ids, id)
+	switch {
+	case !found:
+	case len(ids) == 1:
+		delete(ix.ids, string(key))
+	default:
+		ix.ids[string(key)] = slices.Delete(ids, i, i+1)
 	}
 }
 
-func hasPrefix(b, prefix []byte) bool {
-	if len(b) < len(prefix) {
-		return false
+// lookup returns the ascending ids of the rows whose indexed columns equal
+// the conditions on them. The caller must cover every indexed column (see
+// pickIndex) and must not modify the returned slice.
+func (ix *index) lookup(conds []resolvedCond) []int64 {
+	var buf [keyBufSize]byte
+	key := buf[:0]
+	for _, col := range ix.cols {
+		v, _ := condVal(conds, col)
+		key = encodeKey(key, v)
 	}
-	return compareBytes(b[:len(prefix)], prefix) == 0
+	return ix.ids[string(key)]
 }

@@ -3,14 +3,20 @@ package reldb
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"reflect"
+	"slices"
 	"testing"
+
+	"repro/internal/vfs"
 )
 
 // TestQueryMatchesNaiveModel is a model-based property test: a database
-// under a random workload of inserts, updates and deletes must answer
-// every query exactly like a naive slice-of-rows model, regardless of
-// which indexes exist and which access path the planner picks.
+// under a random workload of inserts, updates and deletes, some of them
+// rejected by a unique index, must answer every query exactly like a naive
+// slice-of-rows model, regardless of which indexes exist and which access
+// path the planner picks. Answers without ORDER BY come back in ascending
+// row id. The database reopened from its files after a power cut, and
+// again from the checkpoint its Close writes, must answer the same.
 func TestQueryMatchesNaiveModel(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -24,9 +30,36 @@ type modelRow struct {
 	row Row
 }
 
+// Column positions of the model table.
+const (
+	mID = iota
+	mPart
+	mFeature
+	mScore
+	mTag
+)
+
+var (
+	modelParts    = []string{"P1", "P2", "P3"}
+	modelFeatures = []string{"fa", "fb", "fc", "fd"}
+	// modelTags is small enough that the workload often picks a tag
+	// another row already holds, which the unique index must reject.
+	modelTags = func() []string {
+		out := make([]string, 300)
+		for i := range out {
+			out[i] = fmt.Sprintf("t%03d", i)
+		}
+		return out
+	}()
+)
+
 func runModelWorkload(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	db := mustOpenMem(t)
+	fsys := vfs.NewFaultFS(vfs.FaultConfig{Seed: seed})
+	db, err := OpenWith("m", Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
 	schema := Schema{
 		Name: "m",
 		Columns: []Column{
@@ -34,10 +67,14 @@ func runModelWorkload(t *testing.T, seed int64) {
 			{Name: "part", Type: TString, NotNull: true},
 			{Name: "feature", Type: TString, NotNull: true},
 			{Name: "score", Type: TFloat},
+			{Name: "tag", Type: TString, NotNull: true},
 		},
 		PrimaryKey: "id",
 	}
 	if err := db.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex("m", "ux_tag", true, "tag"); err != nil {
 		t.Fatal(err)
 	}
 	// Random subset of secondary indexes: the answers must not depend on them.
@@ -52,30 +89,60 @@ func runModelWorkload(t *testing.T, seed int64) {
 		}
 	}
 
-	var model []modelRow
-	parts := []string{"P1", "P2", "P3"}
-	features := []string{"fa", "fb", "fc", "fd"}
+	var model []modelRow // ascending id, like auto-assigned ids
+	holder := func(tag string) int {
+		return slices.IndexFunc(model, func(m modelRow) bool { return m.row[mTag] == tag })
+	}
+	// rejected checks a write the unique index must refuse: it failed, and
+	// the row holding tag is still the one an index lookup finds.
+	rejected := func(what string, err error, tag string) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s with tag %s held by row %d was accepted", what, tag, model[holder(tag)].id)
+		}
+		checkQuery(t, db, model, Query{Table: "m", Where: []Cond{Eq("tag", tag)}})
+	}
 
 	for op := 0; op < 400; op++ {
+		if op == 200 {
+			// Recovery then replays a snapshot plus a WAL.
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4, 5: // insert
-			row := Row{nil, parts[rng.Intn(len(parts))], features[rng.Intn(len(features))], float64(rng.Intn(100))}
+			row := Row{nil, modelParts[rng.Intn(len(modelParts))], modelFeatures[rng.Intn(len(modelFeatures))],
+				float64(rng.Intn(20)), modelTags[rng.Intn(len(modelTags))]}
 			id, err := db.Insert("m", row)
+			if holder(row[mTag].(string)) >= 0 {
+				rejected("insert", err, row[mTag].(string))
+				continue
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			stored := row.Clone()
-			stored[0] = id
+			stored[mID] = id
 			model = append(model, modelRow{id: id, row: stored})
-		case 6, 7: // update a random row
+		case 6, 7: // update a random row, sometimes onto another row's tag
 			if len(model) == 0 {
 				continue
 			}
 			i := rng.Intn(len(model))
 			updated := model[i].row.Clone()
-			updated[2] = features[rng.Intn(len(features))]
-			updated[3] = float64(rng.Intn(100))
-			if err := db.Update("m", model[i].id, updated); err != nil {
+			updated[mFeature] = modelFeatures[rng.Intn(len(modelFeatures))]
+			updated[mScore] = float64(rng.Intn(20))
+			if rng.Intn(3) == 0 {
+				updated[mTag] = modelTags[rng.Intn(len(modelTags))]
+			}
+			err := db.Update("m", model[i].id, updated)
+			if h := holder(updated[mTag].(string)); h >= 0 && h != i {
+				rejected("update", err, updated[mTag].(string))
+				checkQuery(t, db, model, Query{Table: "m", Where: []Cond{Eq("tag", model[i].row[mTag])}})
+				continue
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			model[i].row = updated
@@ -87,128 +154,115 @@ func runModelWorkload(t *testing.T, seed int64) {
 			if err := db.Delete("m", model[i].id); err != nil {
 				t.Fatal(err)
 			}
-			model = append(model[:i], model[i+1:]...)
+			model = slices.Delete(model, i, i+1)
 		case 9: // query and compare against the model
-			q := randomQuery(rng, parts, features)
-			checkQuery(t, db, model, q)
+			checkQuery(t, db, model, randomQuery(rng))
 		}
 	}
-	// Final full comparison.
-	checkQuery(t, db, model, Query{Table: "m"})
-	for _, p := range parts {
-		checkQuery(t, db, model, Query{Table: "m", Where: []Cond{Eq("part", p)}, OrderBy: "score"})
+	checkAll(t, db, model)
+
+	// Cut the power (every commit was fsynced) and recover from the
+	// surviving files, then once more from the checkpoint Close writes.
+	fsys.Crash(vfs.RetainNone)
+	for _, stage := range []string{"wal replay", "checkpoint"} {
+		reopened, err := OpenWith("m", Options{FS: fsys})
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", stage, err)
+		}
+		checkAll(t, reopened, model)
+		if err := reopened.Close(); err != nil {
+			t.Fatalf("%s: close: %v", stage, err)
+		}
 	}
 }
 
-func randomQuery(rng *rand.Rand, parts, features []string) Query {
+func randomQuery(rng *rand.Rand) Query {
 	q := Query{Table: "m"}
 	if rng.Intn(2) == 0 {
-		q.Where = append(q.Where, Eq("part", parts[rng.Intn(len(parts))]))
+		q.Where = append(q.Where, Eq("part", modelParts[rng.Intn(len(modelParts))]))
 	}
 	if rng.Intn(2) == 0 {
-		q.Where = append(q.Where, Eq("feature", features[rng.Intn(len(features))]))
+		q.Where = append(q.Where, Eq("feature", modelFeatures[rng.Intn(len(modelFeatures))]))
 	}
-	if rng.Intn(3) == 0 {
-		q.Where = append(q.Where, Cond{Col: "score", Op: OpGe, Val: float64(rng.Intn(100))})
+	if rng.Intn(4) == 0 {
+		q.Where = append(q.Where, Eq("score", rng.Intn(20)))
+	}
+	if rng.Intn(4) == 0 {
+		q.Where = append(q.Where, Eq("tag", modelTags[rng.Intn(len(modelTags))]))
 	}
 	if rng.Intn(2) == 0 {
 		q.OrderBy = "score"
 		q.Desc = rng.Intn(2) == 0
 	}
+	if rng.Intn(3) == 0 {
+		q.Limit = 1 + rng.Intn(5)
+	}
 	return q
 }
 
-// checkQuery compares db.Select against a naive scan of the model.
+// checkAll compares every row, each part's rows by score, and every tag
+// lookup against the model.
+func checkAll(t *testing.T, db *DB, model []modelRow) {
+	t.Helper()
+	checkQuery(t, db, model, Query{Table: "m"})
+	for _, p := range modelParts {
+		checkQuery(t, db, model, Query{Table: "m", Where: []Cond{Eq("part", p)}, OrderBy: "score"})
+	}
+	for _, tag := range modelTags {
+		checkQuery(t, db, model, Query{Table: "m", Where: []Cond{Eq("tag", tag)}})
+	}
+}
+
+// checkQuery compares db.Select against a naive evaluation over the model:
+// the matching rows in ascending id, stably sorted by the ORDER BY column,
+// then cut to the limit.
 func checkQuery(t *testing.T, db *DB, model []modelRow, q Query) {
 	t.Helper()
 	res, err := db.Select(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Naive evaluation.
-	var want []Row
+	cols := map[string]int{"id": mID, "part": mPart, "feature": mFeature, "score": mScore, "tag": mTag}
+	var want []modelRow
 	for _, m := range model {
 		ok := true
 		for _, c := range q.Where {
-			var pos int
-			switch c.Col {
-			case "id":
-				pos = 0
-			case "part":
-				pos = 1
-			case "feature":
-				pos = 2
-			case "score":
-				pos = 3
+			pos := cols[c.Col]
+			v, err := coerce(modelTypes[pos], c.Val)
+			if err != nil {
+				t.Fatal(err)
 			}
-			cell := m.row[pos]
-			if cell == nil || c.Val == nil {
+			if m.row[pos] == nil || v == nil || compareValues(m.row[pos], v) != 0 {
 				ok = false
-				break
-			}
-			cmp := compareValues(cell, mustCoerce(t, c.Val, pos))
-			switch c.Op {
-			case OpEq:
-				ok = cmp == 0
-			case OpGe:
-				ok = cmp >= 0
-			case OpGt:
-				ok = cmp > 0
-			case OpLe:
-				ok = cmp <= 0
-			case OpLt:
-				ok = cmp < 0
-			case OpNe:
-				ok = cmp != 0
-			}
-			if !ok {
 				break
 			}
 		}
 		if ok {
-			want = append(want, m.row)
+			want = append(want, m)
 		}
+	}
+	if q.OrderBy != "" {
+		pos := cols[q.OrderBy]
+		slices.SortStableFunc(want, func(a, b modelRow) int {
+			c := compareValues(a.row[pos], b.row[pos])
+			if q.Desc {
+				return -c
+			}
+			return c
+		})
+	}
+	if q.Limit > 0 && len(want) > q.Limit {
+		want = want[:q.Limit]
 	}
 	if len(res.Rows) != len(want) {
 		t.Fatalf("query %+v: got %d rows, want %d", q, len(res.Rows), len(want))
 	}
-	// Compare as multisets keyed by the id column; verify ordering when
-	// ORDER BY was requested.
-	gotIDs := rowIDs(res.Rows)
-	wantIDs := rowIDs(want)
-	sort.Slice(wantIDs, func(i, j int) bool { return wantIDs[i] < wantIDs[j] })
-	sortedGot := append([]int64(nil), gotIDs...)
-	sort.Slice(sortedGot, func(i, j int) bool { return sortedGot[i] < sortedGot[j] })
-	for i := range wantIDs {
-		if sortedGot[i] != wantIDs[i] {
-			t.Fatalf("query %+v: row sets differ: got %v want %v", q, sortedGot, wantIDs)
-		}
-	}
-	if q.OrderBy == "score" {
-		prev := res.Rows
-		for i := 1; i < len(prev); i++ {
-			c := compareValues(prev[i-1][3], prev[i][3])
-			if q.Desc && c < 0 || !q.Desc && c > 0 {
-				t.Fatalf("query %+v: ORDER BY violated at row %d", q, i)
-			}
+	for i, m := range want {
+		if res.RowIDs[i] != m.id || !reflect.DeepEqual(res.Rows[i], m.row) {
+			t.Fatalf("query %+v: row %d = id %d %v, want id %d %v", q, i, res.RowIDs[i], res.Rows[i], m.id, m.row)
 		}
 	}
 }
 
-func rowIDs(rows []Row) []int64 {
-	out := make([]int64, len(rows))
-	for i, r := range rows {
-		out[i] = r[0].(int64)
-	}
-	return out
-}
-
-func mustCoerce(t *testing.T, v Value, pos int) Value {
-	t.Helper()
-	types := []ColType{TInt, TString, TString, TFloat}
-	out, err := coerce(types[pos], v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
+// modelTypes are the model table's column types, by position.
+var modelTypes = []ColType{TInt, TString, TString, TFloat, TString}

@@ -2,65 +2,30 @@ package reldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// CmpOp is a comparison operator in a predicate.
-type CmpOp uint8
-
-// Comparison operators.
-const (
-	OpEq CmpOp = iota + 1
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-)
-
-// String returns the SQL spelling of the operator.
-func (op CmpOp) String() string {
-	switch op {
-	case OpEq:
-		return "="
-	case OpNe:
-		return "!="
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
-	}
-	return fmt.Sprintf("CmpOp(%d)", uint8(op))
-}
-
-// Cond is one conjunct of a WHERE clause: Col Op Val.
+// Cond is one conjunct of a WHERE clause: column Col equals Val.
 type Cond struct {
 	Col string
-	Op  CmpOp
 	Val Value
 }
 
-// Eq is shorthand for an equality condition.
-func Eq(col string, val Value) Cond { return Cond{Col: col, Op: OpEq, Val: val} }
+// Eq returns the condition col = val.
+func Eq(col string, val Value) Cond { return Cond{Col: col, Val: val} }
 
 // Query describes a select over one table. Conditions are a conjunction.
 type Query struct {
 	Table   string
 	Where   []Cond
-	OrderBy string // empty = unspecified order
+	OrderBy string // empty = ascending row id
 	Desc    bool
-	Limit   int      // 0 = unlimited
-	Cols    []string // projection; nil = all columns
+	Limit   int // 0 = unlimited
 }
 
-// Result holds the rows produced by a query, along with their row ids and
-// the projected column names.
+// Result holds the rows produced by a query, along with their row ids.
 type Result struct {
-	Cols   []string
 	RowIDs []int64
 	Rows   []Row
 }
@@ -89,94 +54,77 @@ func (db *DB) selectLocked(q Query) (*Result, error) {
 		}
 	}
 
-	var ids []int64
-	var rows []Row
-	collect := func(id int64, row Row) bool {
-		for _, c := range conds {
-			if !c.match(row) {
-				return true
-			}
-		}
-		ids = append(ids, id)
-		rows = append(rows, row)
-		// Early exit only when no ordering is requested.
-		return !(q.Limit > 0 && orderCol < 0 && len(rows) >= q.Limit)
+	// Without ORDER BY the first Limit matches are the answer; a sort
+	// needs every match.
+	limit := q.Limit
+	if orderCol >= 0 {
+		limit = 0
 	}
+	ids := t.match(conds, limit)
+	rows := make([]Row, len(ids))
+	for i, id := range ids {
+		rows[i] = t.rows[id]
+	}
+	if orderCol >= 0 {
+		sort.Stable(byColumn{ids: ids, rows: rows, col: orderCol, desc: q.Desc})
+		if q.Limit > 0 && len(ids) > q.Limit {
+			ids, rows = ids[:q.Limit], rows[:q.Limit]
+		}
+	}
+	for i, r := range rows {
+		rows[i] = r.Clone()
+	}
+	return &Result{RowIDs: ids, Rows: rows}, nil
+}
 
-	if ix, eqVals := pickIndex(t, conds); ix != nil {
-		for _, id := range ix.lookup(eqVals) {
-			if row, ok := t.rows[id]; ok {
-				if !collect(id, row) {
-					break
-				}
-			}
-		}
-	} else if ix, lo, hi, loI, hiI := pickRangeIndex(t, conds); ix != nil {
-		ix.scanRange(lo, hi, loI, hiI, func(id int64) bool {
-			row, ok := t.rows[id]
-			if !ok {
-				return true
-			}
-			return collect(id, row)
-		})
+// byColumn sorts rows on one column, keeping their ids aligned; nil sorts
+// first.
+type byColumn struct {
+	ids  []int64
+	rows []Row
+	col  int
+	desc bool
+}
+
+func (s byColumn) Len() int { return len(s.ids) }
+
+func (s byColumn) Swap(i, j int) {
+	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
+	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
+}
+
+func (s byColumn) Less(i, j int) bool {
+	c := compareValues(s.rows[i][s.col], s.rows[j][s.col])
+	if s.desc {
+		return c > 0
+	}
+	return c < 0
+}
+
+// match returns the ascending ids of the rows that satisfy every condition,
+// at most limit of them (0 = all). An index serves the query when each of
+// its columns has a condition; otherwise the table is scanned.
+func (t *table) match(conds []resolvedCond, limit int) []int64 {
+	var cand []int64
+	if ix := pickIndex(t, conds); ix != nil {
+		cand = ix.lookup(conds)
 	} else {
-		// Full scan in deterministic row-id order.
-		allIDs := make([]int64, 0, len(t.rows))
+		cand = make([]int64, 0, len(t.rows))
 		for id := range t.rows {
-			allIDs = append(allIDs, id)
+			cand = append(cand, id)
 		}
-		sort.Slice(allIDs, func(i, j int) bool { return allIDs[i] < allIDs[j] })
-		for _, id := range allIDs {
-			if !collect(id, t.rows[id]) {
+		slices.Sort(cand)
+	}
+	var ids []int64
+	for _, id := range cand {
+		if matchAll(conds, t.rows[id]) {
+			ids = append(ids, id)
+			if len(ids) == limit {
 				break
 			}
 		}
 	}
-
-	if orderCol >= 0 {
-		// Sort ids and rows together so they stay aligned.
-		type pair struct {
-			id  int64
-			row Row
-		}
-		pairs := make([]pair, len(rows))
-		for i := range rows {
-			pairs[i] = pair{ids[i], rows[i]}
-		}
-		sort.SliceStable(pairs, func(i, j int) bool {
-			c := compareOrder(pairs[i].row[orderCol], pairs[j].row[orderCol])
-			if q.Desc {
-				return c > 0
-			}
-			return c < 0
-		})
-		for i := range pairs {
-			ids[i], rows[i] = pairs[i].id, pairs[i].row
-		}
-	}
-	if q.Limit > 0 && len(rows) > q.Limit {
-		rows = rows[:q.Limit]
-		ids = ids[:q.Limit]
-	}
-
-	// Projection + defensive copies.
-	outCols, proj, err := projection(&t.schema, q.Cols)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Row, len(rows))
-	for i, r := range rows {
-		if proj == nil {
-			out[i] = r.Clone()
-			continue
-		}
-		pr := make(Row, len(proj))
-		for j, p := range proj {
-			pr[j] = r[p]
-		}
-		out[i] = pr.Clone()
-	}
-	return &Result{Cols: outCols, RowIDs: ids, Rows: out}, nil
+	return ids
 }
 
 // SelectOne returns the single row matching the query, or ok=false when
@@ -210,20 +158,7 @@ func (db *DB) DeleteWhere(tableName string, where ...Cond) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var doomed []int64
-	for id, row := range t.rows {
-		match := true
-		for _, c := range conds {
-			if !c.match(row) {
-				match = false
-				break
-			}
-		}
-		if match {
-			doomed = append(doomed, id)
-		}
-	}
-	sort.Slice(doomed, func(i, j int) bool { return doomed[i] < doomed[j] })
+	doomed := t.match(conds, 0)
 	recs := make([]walRecord, 0, len(doomed))
 	for _, id := range doomed {
 		if err := db.deleteLocked(tableName, id); err != nil {
@@ -241,32 +176,18 @@ func (db *DB) DeleteWhere(tableName string, where ...Cond) (int, error) {
 // coerced to the column type.
 type resolvedCond struct {
 	col int
-	op  CmpOp
 	val Value
 }
 
-func (c resolvedCond) match(row Row) bool {
-	cell := row[c.col]
-	if cell == nil || c.val == nil {
-		// SQL-style: comparisons with NULL never match (even !=).
-		return false
+// matchAll reports whether row satisfies every condition. SQL-style, a
+// NULL on either side never matches.
+func matchAll(conds []resolvedCond, row Row) bool {
+	for _, c := range conds {
+		if row[c.col] == nil || c.val == nil || compareValues(row[c.col], c.val) != 0 {
+			return false
+		}
 	}
-	cmp := compareValues(cell, c.val)
-	switch c.op {
-	case OpEq:
-		return cmp == 0
-	case OpNe:
-		return cmp != 0
-	case OpLt:
-		return cmp < 0
-	case OpLe:
-		return cmp <= 0
-	case OpGt:
-		return cmp > 0
-	case OpGe:
-		return cmp >= 0
-	}
-	return false
+	return true
 }
 
 func resolveConds(t *table, where []Cond) ([]resolvedCond, error) {
@@ -280,90 +201,53 @@ func resolveConds(t *table, where []Cond) ([]resolvedCond, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, resolvedCond{col: p, op: c.Op, val: v})
+		out = append(out, resolvedCond{col: p, val: v})
 	}
 	return out, nil
 }
 
-// pickIndex chooses an index usable for equality lookup: the index whose
-// leading columns are all covered by equality conditions, preferring the
-// longest usable prefix. Returns the index and the prefix values.
-func pickIndex(t *table, conds []resolvedCond) (*index, []Value) {
-	eq := make(map[int]Value)
-	for _, c := range conds {
-		if c.op == OpEq {
-			eq[c.col] = c.val
-		}
-	}
-	if len(eq) == 0 {
-		return nil, nil
-	}
+// pickIndex chooses the index that serves the conditions: one with a
+// condition on each of its columns, preferring more columns, then the
+// smaller name. Nil means a scan.
+func pickIndex(t *table, conds []resolvedCond) *index {
 	var best *index
-	var bestVals []Value
-	names := make([]string, 0, len(t.indexes))
-	for n := range t.indexes {
-		names = append(names, n)
-	}
-	sort.Strings(names) // deterministic choice
-	for _, n := range names {
-		ix := t.indexes[n]
-		var vals []Value
-		for _, col := range ix.cols {
-			v, ok := eq[col]
-			if !ok {
-				break
-			}
-			vals = append(vals, v)
+	for _, ix := range t.indexes {
+		if !covers(ix, conds) {
+			continue
 		}
-		if len(vals) > len(bestVals) {
-			best, bestVals = ix, vals
+		if best == nil || len(ix.cols) > len(best.cols) ||
+			len(ix.cols) == len(best.cols) && ix.name < best.name {
+			best = ix
 		}
 	}
-	return best, bestVals
+	return best
 }
 
-// pickRangeIndex chooses an index whose first column has range conditions.
-func pickRangeIndex(t *table, conds []resolvedCond) (ix *index, lo, hi Value, loIncl, hiIncl bool) {
-	names := make([]string, 0, len(t.indexes))
-	for n := range t.indexes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		cand := t.indexes[n]
-		first := cand.cols[0]
-		var clo, chi Value
-		var cloI, chiI, used bool
-		for _, c := range conds {
-			if c.col != first {
-				continue
-			}
-			switch c.op {
-			case OpGt:
-				clo, cloI, used = c.val, false, true
-			case OpGe:
-				clo, cloI, used = c.val, true, true
-			case OpLt:
-				chi, chiI, used = c.val, false, true
-			case OpLe:
-				chi, chiI, used = c.val, true, true
-			}
-		}
-		if used {
-			return cand, clo, chi, cloI, chiI
+// covers reports whether every column of ix has a condition.
+func covers(ix *index, conds []resolvedCond) bool {
+	for _, col := range ix.cols {
+		if _, ok := condVal(conds, col); !ok {
+			return false
 		}
 	}
-	return nil, nil, nil, false, false
+	return true
+}
+
+// condVal returns the value of the first condition on column col.
+func condVal(conds []resolvedCond, col int) (Value, bool) {
+	for _, c := range conds {
+		if c.col == col {
+			return c.val, true
+		}
+	}
+	return nil, false
 }
 
 // Plan describes the access path Select would take for a query — the
-// EXPLAIN of this engine, used to verify that the knowledge-base candidate
-// retrieval really runs on the (part, feature) index (§4.3: "this
-// selection is made via the indexes of the knowledge structure").
+// EXPLAIN of this engine.
 type Plan struct {
-	Access string   // "index-lookup", "index-range" or "full-scan"
+	Access string   // "index-lookup" or "full-scan"
 	Index  string   // index name, if any
-	Prefix int      // number of leading index columns used (lookup only)
 	Sorted bool     // whether an explicit sort step runs afterwards
 	Conds  []string // rendered conditions
 }
@@ -373,9 +257,6 @@ func (p Plan) String() string {
 	s := p.Access
 	if p.Index != "" {
 		s += " " + p.Index
-		if p.Prefix > 0 {
-			s += fmt.Sprintf(" (prefix %d)", p.Prefix)
-		}
 	}
 	if p.Sorted {
 		s += " + sort"
@@ -397,32 +278,11 @@ func (db *DB) Explain(q Query) (Plan, error) {
 	}
 	plan := Plan{Access: "full-scan", Sorted: q.OrderBy != ""}
 	for _, c := range q.Where {
-		plan.Conds = append(plan.Conds, fmt.Sprintf("%s %s %s", c.Col, c.Op, FormatValue(c.Val)))
+		plan.Conds = append(plan.Conds, fmt.Sprintf("%s = %s", c.Col, FormatValue(c.Val)))
 	}
-	if ix, eqVals := pickIndex(t, conds); ix != nil {
+	if ix := pickIndex(t, conds); ix != nil {
 		plan.Access = "index-lookup"
-		plan.Index = ix.name
-		plan.Prefix = len(eqVals)
-		return plan, nil
-	}
-	if ix, _, _, _, _ := pickRangeIndex(t, conds); ix != nil {
-		plan.Access = "index-range"
 		plan.Index = ix.name
 	}
 	return plan, nil
-}
-
-// compareOrder orders cells for ORDER BY; nil sorts first.
-func compareOrder(a, b Value) int {
-	if a == nil || b == nil {
-		switch {
-		case a == nil && b == nil:
-			return 0
-		case a == nil:
-			return -1
-		default:
-			return 1
-		}
-	}
-	return compareValues(a, b)
 }

@@ -50,8 +50,10 @@ func TestSelectAll(t *testing.T) {
 	if len(res.Rows) != 6 {
 		t.Fatalf("got %d rows, want 6", len(res.Rows))
 	}
-	if len(res.Cols) != 4 || res.Cols[1] != "part" {
-		t.Fatalf("cols = %v", res.Cols)
+	for i, r := range res.Rows {
+		if len(r) != 4 || r[0].(int64) != res.RowIDs[i] || res.RowIDs[i] != int64(i+1) {
+			t.Fatalf("row %d = %v (id %d), want every column in row-id order", i, r, res.RowIDs[i])
+		}
 	}
 }
 
@@ -74,14 +76,21 @@ func TestSelectEqUsesIndex(t *testing.T) {
 func TestSelectConjunction(t *testing.T) {
 	db := fixture(t)
 	res, err := db.Select(Query{Table: "codes", Where: []Cond{
-		Eq("part", "P1"),
-		{Col: "score", Op: OpGt, Val: 0.3},
+		Eq("part", "P2"),
+		Eq("code", "E100"),
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2 (E100, E200)", len(res.Rows))
+	if len(res.Rows) != 1 || res.Rows[0][3].(float64) != 0.7 {
+		t.Fatalf("P2/E100 rows = %v, want the one scored 0.7", res.Rows)
+	}
+	res, err = db.Select(Query{Table: "codes", Where: []Cond{Eq("part", "P3"), Eq("code", "E100")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 {
+		t.Fatalf("P3/E100 rows = %v, want none", res.Rows)
 	}
 }
 
@@ -116,62 +125,18 @@ func TestSelectOrderAsc(t *testing.T) {
 	}
 }
 
-func TestSelectProjection(t *testing.T) {
-	db := fixture(t)
-	res, err := db.Select(Query{Table: "codes", Cols: []string{"code", "score"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cols) != 2 || res.Cols[0] != "code" {
-		t.Fatalf("cols = %v", res.Cols)
-	}
-	if len(res.Rows[0]) != 2 {
-		t.Fatalf("row arity = %d", len(res.Rows[0]))
-	}
-	if _, err := db.Select(Query{Table: "codes", Cols: []string{"nope"}}); err == nil {
-		t.Fatal("projection of unknown column accepted")
-	}
-}
-
-func TestSelectRangeOnPrimaryKey(t *testing.T) {
-	db := fixture(t)
-	res, err := db.Select(Query{Table: "codes", Where: []Cond{
-		{Col: "id", Op: OpGe, Val: 2},
-		{Col: "id", Op: OpLe, Val: 4},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(res.Rows))
-	}
-}
-
-func TestSelectNe(t *testing.T) {
-	db := fixture(t)
-	res, err := db.Select(Query{Table: "codes", Where: []Cond{{Col: "part", Op: OpNe, Val: "P1"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(res.Rows))
-	}
-}
-
 func TestSelectNullNeverMatches(t *testing.T) {
 	db := fixture(t)
 	// score is nullable; insert a NULL-score row.
 	if _, err := db.Insert("codes", Row{nil, "P9", "E900", nil}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Select(Query{Table: "codes", Where: []Cond{{Col: "score", Op: OpNe, Val: 999.0}}})
+	res, err := db.Select(Query{Table: "codes", Where: []Cond{Eq("score", nil)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res.Rows {
-		if r[1].(string) == "P9" {
-			t.Fatal("NULL matched a comparison")
-		}
+	if len(res.Rows) != 0 {
+		t.Fatalf("NULL = NULL matched %v", res.Rows)
 	}
 	// The NULL cell reads back as nil.
 	res, err = db.Select(Query{Table: "codes", Where: []Cond{Eq("code", "E900")}})
@@ -183,24 +148,37 @@ func TestSelectNullNeverMatches(t *testing.T) {
 	}
 }
 
-// Negative ints and floats order below zero in an unindexed comparison.
+// Negative ints and floats are found by equality, through an index and
+// without one, and ORDER BY sorts them below zero.
 func TestSelectNegativeNumbers(t *testing.T) {
 	db := mustOpenMem(t)
 	if err := db.CreateTable(Schema{Name: "t", Columns: []Column{{Name: "a", Type: TInt}, {Name: "b", Type: TFloat}}}); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []Row{{int64(-5), -1.5}, {int64(3), 2.5}} {
+	if err := db.CreateIndex("t", "ix_a", false, "a"); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Row{{int64(3), 2.5}, {int64(-5), -1.5}} {
 		if _, err := db.Insert("t", r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, col := range []string{"a", "b"} {
-		res, err := db.Select(Query{Table: "t", Where: []Cond{{Col: col, Op: OpLt, Val: 0}}})
+	for _, c := range []Cond{Eq("a", -5), Eq("b", -1.5)} {
+		res, err := db.Select(Query{Table: "t", Where: []Cond{c}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Rows) != 1 || res.Rows[0][0].(int64) != -5 || res.Rows[0][1].(float64) != -1.5 {
-			t.Fatalf("%s < 0: rows = %v", col, res.Rows)
+			t.Fatalf("%s = %v: rows = %v", c.Col, c.Val, res.Rows)
+		}
+	}
+	for _, col := range []string{"a", "b"} {
+		res, err := db.Select(Query{Table: "t", OrderBy: col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 2 || res.Rows[0][0].(int64) != -5 {
+			t.Fatalf("ORDER BY %s: rows = %v", col, res.Rows)
 		}
 	}
 }
@@ -318,8 +296,7 @@ func TestExplainAccessPaths(t *testing.T) {
 	}{
 		{Query{Table: "codes", Where: []Cond{Eq("part", "P1")}}, "index-lookup", "ix_part"},
 		{Query{Table: "codes", Where: []Cond{Eq("id", 3)}}, "index-lookup", "pk_codes"},
-		{Query{Table: "codes", Where: []Cond{{Col: "id", Op: OpGe, Val: 2}}}, "index-range", "pk_codes"},
-		{Query{Table: "codes", Where: []Cond{{Col: "score", Op: OpGt, Val: 0.5}}}, "full-scan", ""},
+		{Query{Table: "codes", Where: []Cond{Eq("score", 0.5)}}, "full-scan", ""},
 		{Query{Table: "codes"}, "full-scan", ""},
 	}
 	for i, c := range cases {
@@ -334,34 +311,20 @@ func TestExplainAccessPaths(t *testing.T) {
 	if _, err := db.Explain(Query{Table: "nope"}); err == nil {
 		t.Error("explain of unknown table accepted")
 	}
-	// The composite index is preferred when both columns have equality conds.
+	// The composite index is preferred when both columns have equality
+	// conds, and serves nothing when one of them has none.
 	if err := db.CreateIndex("codes", "ix_part_code2", false, "part", "code"); err != nil {
 		t.Fatal(err)
 	}
 	plan, _ := db.Explain(Query{Table: "codes", Where: []Cond{Eq("part", "P1"), Eq("code", "E100")}})
-	if plan.Index != "ix_part_code2" || plan.Prefix != 2 {
+	if plan.Index != "ix_part_code2" {
 		t.Errorf("composite plan = %+v", plan)
 	}
-	if plan.String() == "" {
-		t.Error("plan string empty")
+	if got, want := plan.String(), "index-lookup ix_part_code2"; got != want {
+		t.Errorf("plan string = %q, want %q", got, want)
 	}
-}
-
-// TestKnowledgeBaseQueriesUseIndex pins the §4.3 claim at the storage
-// level: the candidate-retrieval query pattern of the knowledge base runs
-// as an index lookup, not a scan.
-func TestKnowledgeBaseQueriesUseIndex(t *testing.T) {
-	db := fixture(t)
-	if err := db.CreateIndex("codes", "ix_pf", false, "part", "code"); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := db.Explain(Query{Table: "codes", Where: []Cond{
-		Eq("part", "P1"), Eq("code", "E100"),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Access != "index-lookup" {
-		t.Fatalf("candidate retrieval plan = %v", plan)
+	plan, _ = db.Explain(Query{Table: "codes", Where: []Cond{Eq("code", "E100")}, OrderBy: "score"})
+	if got, want := plan.String(), "full-scan + sort"; got != want {
+		t.Errorf("code-only plan = %q, want %q", got, want)
 	}
 }

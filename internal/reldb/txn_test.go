@@ -46,6 +46,11 @@ func TestTxnAtomicRollbackOnFailure(t *testing.T) {
 	if len(res.Rows) != 0 {
 		t.Fatal("partial transaction state leaked")
 	}
+	// Undoing the rejected insert must not unindex the row it collided with.
+	res, _ = db.Select(Query{Table: "parts", Where: []Cond{Eq("name", "exists")}})
+	if len(res.Rows) != 1 || res.Rows[0][2].(float64) != 0.0 {
+		t.Fatalf("pre-existing row after failed commit: %v", res.Rows)
+	}
 }
 
 func TestTxnUpdateDeleteUndo(t *testing.T) {

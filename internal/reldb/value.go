@@ -2,15 +2,17 @@
 // QATK analytics toolkit for raw report data, knowledge bases and
 // classification results (paper §4.5.1).
 //
-// The engine is deliberately small but complete: typed schemas, primary
-// keys, hash and ordered secondary indexes, predicate scans with index
-// selection, ORDER BY/LIMIT, single-writer transactions, and write-ahead
-// logging with snapshot checkpoints. It stores knowledge-base instances
-// "on disk with on-the-fly access", which is how the paper addresses the
-// memory weakness of instance-based kNN (§2.2).
+// The engine is deliberately small: typed schemas, primary keys, hash
+// indexes, WHERE clauses that are conjunctions of equalities (an index
+// serves one when each of its columns has an equality; anything else
+// scans in row-id order), ORDER BY/LIMIT, single-writer transactions,
+// and write-ahead logging with snapshot checkpoints. It stores
+// knowledge-base instances "on disk with on-the-fly access", which is how
+// the paper addresses the memory weakness of instance-based kNN (§2.2).
 package reldb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -160,31 +162,9 @@ func compareValues(a, b Value) int {
 		}
 		return 0
 	case []byte:
-		return compareBytes(x, b.([]byte))
+		return bytes.Compare(x, b.([]byte))
 	}
 	panic(fmt.Sprintf("reldb: compareValues on unsupported type %T", a))
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }
 
 // encodeKey appends an order-preserving binary encoding of v to dst.

@@ -62,7 +62,7 @@ func TestEncodeKeyOrderBytesWithZeros(t *testing.T) {
 	for _, p := range pairs {
 		ka := encodeKey(nil, p[0])
 		kb := encodeKey(nil, p[1])
-		if sign(bytes.Compare(ka, kb)) != sign(compareBytes(p[0], p[1])) {
+		if sign(bytes.Compare(ka, kb)) != sign(bytes.Compare(p[0], p[1])) {
 			t.Errorf("order violated for % x vs % x", p[0], p[1])
 		}
 	}

@@ -197,7 +197,8 @@ var errStopReplay = errors.New("reldb: stop replay")
 // for every record of every intact frame and returning the byte length of
 // the valid prefix. A short or corrupt frame at the tail terminates the
 // replay without error (torn write); corruption elsewhere is
-// indistinguishable and treated the same.
+// indistinguishable and treated the same. A frame is read only when the
+// file holds all of its declared length.
 func replayFile(fsys vfs.FS, path string, apply func(walRecord) error) (int64, error) {
 	f, err := vfs.Open(fsys, path)
 	if errors.Is(err, iofs.ErrNotExist) {
@@ -207,6 +208,11 @@ func replayFile(fsys vfs.FS, path string, apply func(walRecord) error) (int64, e
 		return 0, err
 	}
 	defer f.Close()
+	fi, err := fsys.Stat(path)
+	if err != nil {
+		return 0, err
+	}
+	size := fi.Size()
 	br := bufio.NewReader(f)
 	valid := int64(0)
 	for {
@@ -216,8 +222,10 @@ func replayFile(fsys vfs.FS, path string, apply func(walRecord) error) (int64, e
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > 1<<30 {
-			return valid, nil // implausible length: torn frame
+		if n > 1<<30 || int64(n) > size-valid-8 {
+			// Implausible, or longer than the bytes left: a torn frame,
+			// caught before its payload is allocated.
+			return valid, nil
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(br, payload); err != nil {
@@ -312,6 +320,9 @@ func (db *DB) applyRecord(r walRecord) error {
 		if r.Schema == nil {
 			return errors.New("create table record without schema")
 		}
+		if err := r.Schema.validate(); err != nil {
+			return err
+		}
 		if _, ok := db.tables[r.Schema.Name]; ok {
 			return nil // idempotent replay
 		}
@@ -329,6 +340,9 @@ func (db *DB) applyRecord(r walRecord) error {
 		t, ok := db.tables[r.Table]
 		if !ok {
 			return fmt.Errorf("insert into unknown table %q", r.Table)
+		}
+		if _, exists := t.rows[r.RowID]; exists {
+			return fmt.Errorf("insert of existing row %d into %q", r.RowID, r.Table)
 		}
 		canon, err := t.schema.checkRow(r.Row)
 		if err != nil {
