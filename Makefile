@@ -1,8 +1,10 @@
 GO ?= go
 
 # PR is the ordinal stamped into freshly written benchmark baselines
-# (BENCH_pr$(PR).json); bump it per PR so benchtrend orders them.
-PR ?= 10
+# (BENCH_pr$(PR).json), so benchtrend orders them. It defaults to one past
+# the newest committed baseline; pass PR=N to stamp another ordinal.
+PR ?= $(shell git ls-files 'BENCH_pr*.json' 2>/dev/null | sed -n 's/^BENCH_pr\([0-9]*\)\.json$$/\1/p' | \
+	sort -n | tail -n 1 | awk '{ n = $$1 } END { print n + 1 }')
 
 .PHONY: build test vet fmt-check lint lint-json race crash chaos chaos-repl fuzz-smoke golden check bench bench-load bench-alloc bench-trend bench-gate bench-meta prof-smoke
 
@@ -75,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFeatures$$' -fuzztime 10s ./internal/qatk
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/reldb
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s ./internal/reldb
+	$(GO) test -run '^$$' -fuzz '^FuzzRank$$' -fuzztime 10s ./internal/kb
 
 ## golden: run `experiments -small -all` and diff its output, wall-clock
 ## columns masked, against cmd/experiments/testdata/small_all.golden.

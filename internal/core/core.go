@@ -13,15 +13,16 @@
 package core
 
 import (
-	"cmp"
-	"slices"
-
 	"repro/internal/kb"
 	"repro/internal/obs/reqlog"
 )
 
 // Similarity scores two feature sets from their intersection size and
-// cardinalities. Implementations must be in [0, 1].
+// cardinalities. Implementations must be in [0, 1], and two sets that
+// share nothing must score 0: Score(0, a, b) == 0 for every a and b. The
+// knowledge base's ranking relies on that to place, unscored, the nodes of
+// an unknown part's candidate set that share no feature with the query
+// (kb.Scorer, which every Similarity is).
 type Similarity interface {
 	Name() string
 	Score(shared, sizeA, sizeB int) float64
@@ -75,9 +76,6 @@ const DefaultNodeCutoff = 25
 type Classifier struct {
 	Store kb.Store
 	Sim   Similarity
-	// NodeCutoff caps how many best-scored nodes contribute codes;
-	// 0 means DefaultNodeCutoff.
-	NodeCutoff int
 }
 
 // New creates a classifier over a knowledge base with the given similarity.
@@ -85,105 +83,31 @@ func New(store kb.Store, sim Similarity) *Classifier {
 	return &Classifier{Store: store, Sim: sim}
 }
 
-// scoredNode pairs a candidate node with its similarity to the query.
-type scoredNode struct {
-	node  *kb.Node
-	score float64
-}
-
-// rankNodes computes pairwise similarities for the candidate set and sorts
-// descending (ties broken by error code, then node ID, for determinism).
-// The comparator is a total order — every tie is broken down to the
-// globally unique node ID — so the unstable generic sort yields the same
-// bit-identical ranking sort.Slice did. sc (nil when request logging is
-// off) splits the work into the score and rank stages of the request's
-// wide event; the timing is observation-only and never alters the ranking.
-//
-//qatk:hotpath
-func (c *Classifier) rankNodes(sc *reqlog.StageClock, partID string, features []string) []scoredNode {
-	t := sc.Start()
-	//qatk:allowalloc the feature set and scored list are the ranking workspace, sized once per query
-	featSet := make(map[string]bool, len(features))
-	for _, f := range features {
-		featSet[f] = true
-	}
-	cands := c.Store.Candidates(partID, features)
-	//qatk:allowalloc the ranked slice is the function's product
-	scored := make([]scoredNode, 0, len(cands))
-	for _, n := range cands {
-		shared := 0
-		for _, f := range n.Features {
-			if featSet[f] {
-				shared++
-			}
-		}
-		s := c.Sim.Score(shared, len(features), len(n.Features))
-		scored = append(scored, scoredNode{node: n, score: s})
-	}
-	t = sc.Lap(reqlog.StageScore, t)
-	slices.SortFunc(scored, func(a, b scoredNode) int {
-		if a.score != b.score {
-			return cmp.Compare(b.score, a.score)
-		}
-		if a.node.ErrorCode != b.node.ErrorCode {
-			return cmp.Compare(a.node.ErrorCode, b.node.ErrorCode)
-		}
-		return cmp.Compare(a.node.ID, b.node.ID)
-	})
-	sc.Lap(reqlog.StageRank, t)
-	return scored
-}
-
-// ScoredNode is one best-scored candidate node, pre-deduplication: the
-// sharded serving tier merges these across partitions before collapsing to
-// codes, so the merge ranks exactly like a single-store ranking. The node
-// ID is the global tie-breaker (kb.Subset preserves IDs).
-type ScoredNode struct {
-	ID    int64
-	Code  string
-	Score float64
-}
-
 // RecommendNodes returns the best-scored candidate nodes (at most
-// NodeCutoff) in rank order, before codes are deduplicated. Recommend is
-// CodesFromNodes(RecommendNodes(...)).
-func (c *Classifier) RecommendNodes(partID string, features []string) []ScoredNode {
+// DefaultNodeCutoff) in rank order — score descending, ties broken by
+// error code, then node ID (kb.CompareScored) — before codes are
+// deduplicated. Recommend is CodesFromNodes(RecommendNodes(...)).
+func (c *Classifier) RecommendNodes(partID string, features []string) []kb.Scored {
 	return c.RecommendNodesTimed(nil, partID, features)
 }
 
 // RecommendNodesTimed is RecommendNodes with per-stage attribution: the
-// scoring loop and ranking sort are credited to the request's wide event
+// knowledge base's ranking pass, which retrieves, scores and selects in
+// one walk, is credited to the request's wide event as the score stage
 // through sc. A nil clock (request logging off, or callers outside the
 // serving path) makes the timing free.
-func (c *Classifier) RecommendNodesTimed(sc *reqlog.StageClock, partID string, features []string) []ScoredNode {
-	nodes, _ := c.recommendNodes(sc, partID, features)
+func (c *Classifier) RecommendNodesTimed(sc *reqlog.StageClock, partID string, features []string) []kb.Scored {
+	t := sc.Start()
+	nodes, _ := c.Store.Rank(partID, features, c.Sim, DefaultNodeCutoff)
+	sc.Lap(reqlog.StageScore, t)
 	return nodes
-}
-
-// recommendNodes ranks the candidate set and cuts it to NodeCutoff nodes,
-// also reporting how many candidates were scored.
-func (c *Classifier) recommendNodes(sc *reqlog.StageClock, partID string, features []string) ([]ScoredNode, int) {
-	cutoff := c.NodeCutoff
-	if cutoff <= 0 {
-		cutoff = DefaultNodeCutoff
-	}
-	scored := c.rankNodes(sc, partID, features)
-	candidates := len(scored)
-	if len(scored) > cutoff {
-		scored = scored[:cutoff]
-	}
-	out := make([]ScoredNode, len(scored))
-	for i, sn := range scored {
-		out[i] = ScoredNode{ID: sn.node.ID, Code: sn.node.ErrorCode, Score: sn.score}
-	}
-	return out, candidates
 }
 
 // CodesFromNodes collapses a ranked node list to the distinct error codes
 // in rank order, each carrying the score of its best node.
 //
 //qatk:hotpath
-func CodesFromNodes(nodes []ScoredNode) []ScoredCode {
+func CodesFromNodes(nodes []kb.Scored) []ScoredCode {
 	//qatk:allowalloc the dedup set is per-query workspace, bounded by the node cutoff
 	seen := make(map[string]bool, len(nodes))
 	//qatk:allowalloc the code list is the function's product, returned to the caller and bounded by the node cutoff
@@ -201,8 +125,8 @@ func CodesFromNodes(nodes []ScoredNode) []ScoredCode {
 // Recommend returns the ranked error-code list for a data bundle given its
 // part ID and extracted feature set: the distinct error codes of the
 // best-scored candidate nodes, each with the score of its best node, in
-// rank order. At most NodeCutoff nodes are consumed, so the list holds at
-// most that many codes.
+// rank order. At most DefaultNodeCutoff nodes are consumed, so the list
+// holds at most that many codes.
 func (c *Classifier) Recommend(partID string, features []string) []ScoredCode {
 	return CodesFromNodes(c.RecommendNodes(partID, features))
 }
@@ -211,7 +135,7 @@ func (c *Classifier) Recommend(partID string, features []string) []ScoredCode {
 // candidate set it scored — the similarity computations the feasibility
 // numbers of §5.2.2 count — from the same retrieval that ranked it.
 func (c *Classifier) RecommendCounted(partID string, features []string) ([]ScoredCode, int) {
-	nodes, candidates := c.recommendNodes(nil, partID, features)
+	nodes, candidates := c.Store.Rank(partID, features, c.Sim, DefaultNodeCutoff)
 	return CodesFromNodes(nodes), candidates
 }
 
@@ -224,20 +148,16 @@ func (c *Classifier) MajorityVote(partID string, features []string, k int) strin
 	if k <= 0 {
 		k = 6
 	}
-	scored := c.rankNodes(nil, partID, features)
+	scored, _ := c.Store.Rank(partID, features, c.Sim, k)
 	if len(scored) == 0 {
 		return ""
-	}
-	if len(scored) > k {
-		scored = scored[:k]
 	}
 	votes := map[string]int{}
 	best := map[string]float64{}
 	for _, sn := range scored {
-		code := sn.node.ErrorCode
-		votes[code]++
-		if sn.score > best[code] {
-			best[code] = sn.score
+		votes[sn.Code]++
+		if sn.Score > best[sn.Code] {
+			best[sn.Code] = sn.Score
 		}
 	}
 	winner := ""
@@ -267,16 +187,13 @@ func (c *Classifier) WeightedVote(partID string, features []string, k int) strin
 	if k <= 0 {
 		k = 6
 	}
-	scored := c.rankNodes(nil, partID, features)
+	scored, _ := c.Store.Rank(partID, features, c.Sim, k)
 	if len(scored) == 0 {
 		return ""
 	}
-	if len(scored) > k {
-		scored = scored[:k]
-	}
 	weights := map[string]float64{}
 	for _, sn := range scored {
-		weights[sn.node.ErrorCode] += sn.score
+		weights[sn.Code] += sn.Score
 	}
 	winner := ""
 	for code, w := range weights {

@@ -96,21 +96,3 @@ func (e *Extractor) Features(c *cas.CAS) []string {
 		return out
 	}
 }
-
-// SharedCount returns |a ∩ b| for two sorted string slices.
-func SharedCount(a, b []string) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			n++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return n
-}

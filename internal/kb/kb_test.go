@@ -62,24 +62,6 @@ func TestExtractorBagOfConcepts(t *testing.T) {
 	}
 }
 
-func TestSharedCount(t *testing.T) {
-	cases := []struct {
-		a, b []string
-		want int
-	}{
-		{nil, nil, 0},
-		{[]string{"a"}, nil, 0},
-		{[]string{"a", "b", "c"}, []string{"b", "c", "d"}, 2},
-		{[]string{"a", "b"}, []string{"a", "b"}, 2},
-		{[]string{"a", "c", "e"}, []string{"b", "d", "f"}, 0},
-	}
-	for i, c := range cases {
-		if got := SharedCount(c.a, c.b); got != c.want {
-			t.Errorf("case %d: shared = %d, want %d", i, got, c.want)
-		}
-	}
-}
-
 func memFixture() *Memory {
 	m := NewMemory()
 	m.AddBundle("P1", "E1", []string{"crackle", "radio"})

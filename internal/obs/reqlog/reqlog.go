@@ -23,21 +23,21 @@ import (
 	"time"
 )
 
-// Stage identifies one timed phase of the serving path: candidate
-// scoring, ranking, the shard router's merge, and the code dedup collapse.
+// Stage identifies one timed phase of the serving path: the knowledge
+// base's ranking pass, which retrieves, scores and selects candidates in
+// one walk; the shard router's merge; and the code dedup collapse.
 type Stage int
 
 // Stages in serving-path order.
 const (
 	StageScore Stage = iota
-	StageRank
 	StageMerge
 	StageDedup
 	numStages
 )
 
 // stageNames index by Stage.
-var stageNames = [numStages]string{"score", "rank", "merge", "dedup"}
+var stageNames = [numStages]string{"score", "merge", "dedup"}
 
 // String names the stage as it appears in events and reports.
 func (s Stage) String() string {

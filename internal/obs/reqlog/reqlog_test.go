@@ -171,7 +171,7 @@ func TestBuilderAssemblesWideEvent(t *testing.T) {
 	clk.advance(2 * time.Millisecond)
 	start = sc.Lap(StageScore, start)
 	clk.advance(time.Millisecond)
-	sc.Lap(StageRank, start)
+	sc.Lap(StageMerge, start)
 
 	b.Attempt(ShardAttempt{Shard: 1, Attempt: 1, Breaker: "closed", Deadline: 250 * time.Millisecond, Duration: 3 * time.Millisecond})
 	b.Attempt(ShardAttempt{Shard: 1, Attempt: 2, Hedged: true, Breaker: "closed", Duration: time.Millisecond})
@@ -190,7 +190,7 @@ func TestBuilderAssemblesWideEvent(t *testing.T) {
 	}
 	want := []StageTiming{
 		{Name: "score", Duration: 2 * time.Millisecond},
-		{Name: "rank", Duration: time.Millisecond},
+		{Name: "merge", Duration: time.Millisecond},
 	}
 	if !reflect.DeepEqual(ev.Stages, want) {
 		t.Fatalf("stages = %+v", ev.Stages)

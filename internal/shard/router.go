@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -319,7 +318,7 @@ func (r *Router) Query(ctx context.Context, partID string, features []string) (*
 			ch <- scatterOut{idx: i, out: o, hedged: hg, err: e}
 		}(i)
 	}
-	lists := make([][]core.ScoredNode, 0, dispatched)
+	lists := make([][]kb.Scored, 0, dispatched)
 	for j := 0; j < dispatched; j++ {
 		so := <-ch
 		res.Hedged = res.Hedged || so.hedged
@@ -355,34 +354,25 @@ func (r *Router) Query(ctx context.Context, partID string, features []string) (*
 }
 
 // mergeNodes merges per-shard ranked lists into one ranking under the
-// classifier's total order — score descending, then error code, then node
-// ID (globally unique, preserved by kb.Subset) — and applies the node
-// cutoff. Every input list is already cut to the same cutoff and sorted
-// under the same order, so the merge is deterministic and identical to
-// ranking the union store. The comparator is a total order (node IDs are
-// globally unique), so the unstable generic sort preserves the
-// bit-identical ranking sort.Slice produced.
+// classifier's total order, kb.CompareScored — score descending, then
+// error code, then node ID (globally unique, preserved by kb.Subset) — and
+// applies the node cutoff. Every input list is already cut to the same
+// cutoff and sorted under the same order, so the merge is deterministic
+// and identical to ranking the union store. The comparator is a total
+// order, so the unstable generic sort yields a bit-identical ranking.
 //
 //qatk:hotpath
-func mergeNodes(lists [][]core.ScoredNode, cutoff int) []core.ScoredNode {
+func mergeNodes(lists [][]kb.Scored, cutoff int) []kb.Scored {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
 	}
 	//qatk:allowalloc the merged ranking is the function's product, bounded by shards x cutoff
-	merged := make([]core.ScoredNode, 0, total)
+	merged := make([]kb.Scored, 0, total)
 	for _, l := range lists {
 		merged = append(merged, l...)
 	}
-	slices.SortFunc(merged, func(a, b core.ScoredNode) int {
-		if a.Score != b.Score {
-			return cmp.Compare(b.Score, a.Score)
-		}
-		if a.Code != b.Code {
-			return cmp.Compare(a.Code, b.Code)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+	slices.SortFunc(merged, kb.CompareScored)
 	if len(merged) > cutoff {
 		merged = merged[:cutoff]
 	}

@@ -118,10 +118,10 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // descending, then code, then node ID — and the cutoff applies after the
 // merge.
 func TestMergeNodesDeterministic(t *testing.T) {
-	a := []core.ScoredNode{{ID: 4, Code: "E2", Score: 0.9}, {ID: 1, Code: "E1", Score: 0.5}}
-	b := []core.ScoredNode{{ID: 3, Code: "E1", Score: 0.9}, {ID: 2, Code: "E3", Score: 0.5}}
-	got := mergeNodes([][]core.ScoredNode{a, b}, 3)
-	want := []core.ScoredNode{
+	a := []kb.Scored{{ID: 4, Code: "E2", Score: 0.9}, {ID: 1, Code: "E1", Score: 0.5}}
+	b := []kb.Scored{{ID: 3, Code: "E1", Score: 0.9}, {ID: 2, Code: "E3", Score: 0.5}}
+	got := mergeNodes([][]kb.Scored{a, b}, 3)
+	want := []kb.Scored{
 		{ID: 3, Code: "E1", Score: 0.9}, // score ties break by code...
 		{ID: 4, Code: "E2", Score: 0.9},
 		{ID: 1, Code: "E1", Score: 0.5}, // ...then by node ID

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kb"
 	"repro/internal/obs"
 	"repro/internal/obs/reqlog"
 )
@@ -34,7 +35,7 @@ type FaultHook func(ctx context.Context, shard, attempt int) error
 
 // response is one attempt's answer.
 type response struct {
-	nodes []core.ScoredNode
+	nodes []kb.Scored
 	known bool
 	// replica marks an answer served by a read replica; stale additionally
 	// marks the replica as lagging beyond the router's MaxApplyLag bound
