@@ -52,7 +52,7 @@ crash:
 ## wedged} × {owning, non-owning} plus hedging/breaker/goroutine hygiene.
 ## On failure the chaos fixture dumps its tail-sample wide-event ring to
 ## chaos_requests.json as a single-file flight bundle (render it with
-## `qatk requests chaos_requests.json`); CI uploads it as an artifact.
+## `qatk diagnose chaos_requests.json`); CI uploads it as an artifact.
 chaos:
 	@rm -f chaos_requests.json
 	CHAOS_ARTIFACT=$(CURDIR)/chaos_requests.json $(GO) test -race -count 1 ./internal/shard || \
@@ -64,7 +64,7 @@ chaos:
 ## throughout (degraded/stale at worst, never divergent) and every broken
 ## replica re-syncs to the primary's exact state digest. On failure the
 ## fixture dumps its wide-event ring to repl_requests.json (render it
-## with `qatk requests repl_requests.json`); CI uploads it as an artifact.
+## with `qatk diagnose repl_requests.json`); CI uploads it as an artifact.
 chaos-repl:
 	@rm -f repl_requests.json
 	CHAOS_ARTIFACT=$(CURDIR)/repl_requests.json $(GO) test -race -count 1 ./internal/repl || \
@@ -78,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/reldb
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s ./internal/reldb
 	$(GO) test -run '^$$' -fuzz '^FuzzRank$$' -fuzztime 10s ./internal/kb
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBundle$$' -fuzztime 10s ./internal/obs/flight
 
 ## golden: run `experiments -small -all` and diff its output, wall-clock
 ## columns masked, against cmd/experiments/testdata/small_all.golden.
@@ -161,9 +162,11 @@ bench-alloc:
 	  -o bench_alloc.json
 
 ## prof-smoke: boot questd against a tiny generated corpus with a fast
-## profiler cadence, render one live capture through `qatk prof`, and
-## assert the ring is non-empty. The run arms -flight-dir so a crash
-## during the smoke leaves a diagnosable bundle behind (CI uploads it).
+## profiler cadence, poll its one diagnostic surface (/debug/bundle)
+## through `qatk diagnose` until the report's continuous profile renders
+## a non-empty ring, then assert the polls wrote no bundle: the live
+## view is read-only. The run arms -flight-dir so a crash during the
+## smoke leaves a diagnosable bundle behind (CI uploads it).
 prof-smoke:
 	@rm -rf .profsmoke && mkdir -p .profsmoke/flight
 	$(GO) run ./cmd/datagen -small -out .profsmoke/data
@@ -177,12 +180,15 @@ prof-smoke:
 	ok=0; \
 	for i in $$(seq 1 60); do \
 	  sleep 0.25; \
-	  if .profsmoke/qatk prof http://127.0.0.1:16060 > .profsmoke/report.txt 2>/dev/null \
-	     && grep -q 'CONTINUOUS PROFILE' .profsmoke/report.txt; then ok=1; break; fi; \
+	  if .profsmoke/qatk diagnose http://127.0.0.1:16060 > .profsmoke/report.txt 2>/dev/null \
+	     && grep -Eq 'CONTINUOUS PROFILE .* [1-9][0-9]* snapshots' .profsmoke/report.txt; then ok=1; break; fi; \
 	done; \
 	if [ $$ok -ne 1 ]; then \
-	  echo "prof-smoke: /debug/prof never served a non-empty ring"; \
+	  echo "prof-smoke: /debug/bundle never rendered a non-empty profile ring"; \
 	  cat .profsmoke/report.txt 2>/dev/null; exit 1; \
 	fi; \
-	head -20 .profsmoke/report.txt; \
-	echo "prof-smoke: OK"
+	grep -A 12 'CONTINUOUS PROFILE' .profsmoke/report.txt; \
+	if ls .profsmoke/flight | grep -q '^bundle-'; then \
+	  echo "prof-smoke: polling /debug/bundle wrote bundles:"; ls .profsmoke/flight; exit 1; \
+	fi; \
+	echo "prof-smoke: OK ($$i polls, no bundle written)"

@@ -6,9 +6,7 @@
 //	qatk -data ./data recommend -ref R000042  print the ranked codes for one bundle
 //	qatk -data ./data export                  dump bundles as TSV interchange files
 //	qatk -data ./data import                  load bundles from TSV interchange files
-//	qatk diagnose <bundle>                    render a flight-recorder bundle as an incident report
-//	qatk requests <url|bundle>                render the tail-sampled wide-event request log
-//	qatk prof <url|bundle>                    render the continuous-profiler ring (top frames, heap deltas, goroutine growth)
+//	qatk diagnose <url|bundle>                render a live questd or a flight bundle as an incident report
 //
 // Flags -model (concepts|words) and -sim (jaccard|overlap) select the
 // classifier variant; the default is the industrial configuration of the
@@ -21,18 +19,26 @@
 // reldb fsync failure, or a goroutine spike snapshots a diagnostic
 // bundle that `qatk diagnose` (or `qatk diagnose -v`, verbose) turns
 // into a readable incident report.
+//
+// `qatk diagnose [-v] [-cpu out.pprof] <url|bundle>` is the one reader
+// of QUEST's diagnostic surface. It takes a questd debug URL
+// (http://localhost:6060; /debug/bundle is appended when missing), a
+// bundle directory, or a single-file JSON bundle, and renders every
+// section: runtime, subsystems, metric movement, spans, the retained
+// requests, the continuous profile, the log tail and the goroutines.
+// -cpu writes the bundle's raw CPU profile for `go tool pprof`: the
+// breach window when there is one, otherwise the newest ring
+// snapshot's; against a URL it first asks for a fresh window (?cpu=1).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -42,8 +48,6 @@ import (
 	"repro/internal/kb"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/obs/prof"
-	"repro/internal/obs/reqlog"
 	"repro/internal/pipeline"
 	"repro/internal/qatk"
 	"repro/internal/reldb"
@@ -83,17 +87,10 @@ func main() {
 	cmd, rest := flag.Arg(0), flag.Args()[1:]
 	var err error
 	if cmd == "diagnose" {
-		// Reads a bundle from disk; needs no database, logger, or live
-		// recorder, so it must work even when -data points nowhere.
-		err = diagnose(rest)
-	} else if cmd == "requests" {
-		// Reads the wide-event request log from a live questd or a frozen
-		// flight bundle; like diagnose it needs no database.
-		err = requests(rest)
-	} else if cmd == "prof" {
-		// Reads the continuous-profiler ring from a live questd or a
-		// frozen flight bundle; like diagnose it needs no database.
-		err = profCmd(rest)
+		// Reads a live server or a bundle on disk; needs no database,
+		// logger, or live recorder, so it must work even when -data
+		// points nowhere.
+		err = diagnose(rest, os.Stdout)
 	} else {
 		err = run(o, cmd, rest)
 	}
@@ -103,150 +100,64 @@ func main() {
 	}
 }
 
-// diagnose implements `qatk diagnose [-v] <bundle>`: it accepts either a
-// bundle directory or a single-file JSON export (as served by questd's
-// /debug/bundle) and pretty-prints the incident report.
-func diagnose(args []string) error {
+// diagnose implements `qatk diagnose [-v] [-cpu out.pprof] <url|bundle>`.
+func diagnose(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("diagnose", flag.ContinueOnError)
-	verbose := fs.Bool("v", false, "full metric movement, span list, log tail, and goroutine dump")
+	verbose := fs.Bool("v", false, "every metric series, span family, request, log line and ring snapshot, and the goroutine dump")
+	cpuOut := fs.String("cpu", "", "write the raw CPU pprof profile to this file (a URL also captures a fresh window)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: qatk diagnose [-v] <bundle dir or .json>")
+		return fmt.Errorf("usage: qatk diagnose [-v] [-cpu out.pprof] <url, bundle dir or .json>")
 	}
-	b, err := flight.ReadBundle(fs.Arg(0))
+	b, err := loadBundle(fs.Arg(0), *cpuOut != "")
 	if err != nil {
 		return err
 	}
-	return flight.WriteReport(os.Stdout, b, *verbose)
-}
-
-// requests implements `qatk requests [-reason r] [-n N] <url|bundle>`:
-// it renders the tail-sampled wide-event request log, fetched either
-// live from a questd debug listener (any http(s) URL; /debug/requests is
-// appended when missing) or from a frozen flight-recorder bundle
-// (directory or single-file JSON export).
-func requests(args []string) error {
-	fs := flag.NewFlagSet("requests", flag.ContinueOnError)
-	reason := fs.String("reason", "", "only events retained for this reason (slow | degraded | hedged | status | panic | breaker | always | head_sample)")
-	n := fs.Int("n", 0, "at most N newest events (0 = all)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: qatk requests [-reason r] [-n N] <url or flight bundle>")
-	}
-	arg := fs.Arg(0)
-	var events []reqlog.Event
-	if strings.HasPrefix(arg, "http://") || strings.HasPrefix(arg, "https://") {
-		target := strings.TrimRight(arg, "/")
-		if !strings.HasSuffix(target, "/debug/requests") {
-			target += "/debug/requests"
-		}
-		q := url.Values{}
-		if *reason != "" {
-			q.Set("reason", *reason)
-		}
-		if *n > 0 {
-			q.Set("n", strconv.Itoa(*n))
-		}
-		if enc := q.Encode(); enc != "" {
-			target += "?" + enc
-		}
-		resp, err := http.Get(target)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("requests: %s answered %s", target, resp.Status)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&events); err != nil {
-			return fmt.Errorf("requests: decode %s: %w", target, err)
-		}
-	} else {
-		b, err := flight.ReadBundle(arg)
-		if err != nil {
-			return err
-		}
-		events = b.Requests
-		if *reason != "" {
-			events = reqlog.FilterByReason(events, *reason)
-		}
-		if *n > 0 && *n < len(events) {
-			events = events[:*n]
-		}
-	}
-	return reqlog.WriteReport(os.Stdout, events)
-}
-
-// profCmd implements `qatk prof [-v] [-cpu out.pprof] <url|bundle>`: it
-// renders the continuous-profiler capture — goroutine growth across the
-// ring, heap deltas between the newest snapshots, and top frames per
-// profile — fetched either live from a questd debug listener (any
-// http(s) URL; /debug/prof is appended when missing) or from a frozen
-// flight-recorder bundle's profiles section. -cpu extracts the raw
-// gzipped pprof CPU profile (the breach window when present, otherwise
-// the newest ring snapshot) for `go tool pprof`.
-func profCmd(args []string) error {
-	fs := flag.NewFlagSet("prof", flag.ContinueOnError)
-	verbose := fs.Bool("v", false, "include the full ring history")
-	cpuOut := fs.String("cpu", "", "write the raw CPU pprof profile to this file (live URLs also capture a fresh window)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: qatk prof [-v] [-cpu out.pprof] <url or flight bundle>")
-	}
-	arg := fs.Arg(0)
-	var capture *prof.Capture
-	if strings.HasPrefix(arg, "http://") || strings.HasPrefix(arg, "https://") {
-		target := strings.TrimRight(arg, "/")
-		if !strings.HasSuffix(target, "/debug/prof") {
-			target += "/debug/prof"
-		}
-		if *cpuOut != "" {
-			// Ask the sampler for a fresh breach-window CPU capture so the
-			// extracted profile covers "now", not the last sampling tick.
-			target += "?cpu=1"
-		}
-		resp, err := http.Get(target)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("prof: %s answered %s", target, resp.Status)
-		}
-		capture = &prof.Capture{}
-		if err := json.NewDecoder(resp.Body).Decode(capture); err != nil {
-			return fmt.Errorf("prof: decode %s: %w", target, err)
-		}
-	} else {
-		b, err := flight.ReadBundle(arg)
-		if err != nil {
-			return err
-		}
-		if b.Profiles == nil {
-			return fmt.Errorf("prof: bundle %s has no profiles section (captured before PR 10, or the profiler was disabled)", arg)
-		}
-		capture = b.Profiles
-	}
 	if *cpuOut != "" {
-		raw := capture.BreachCPU
-		if len(raw) == 0 && len(capture.Ring) > 0 {
-			raw = capture.Ring[len(capture.Ring)-1].CPUPprof
+		var raw []byte
+		if c := b.Profiles; c != nil {
+			raw = c.BreachCPU
+			if len(raw) == 0 && len(c.Ring) > 0 {
+				raw = c.Ring[len(c.Ring)-1].CPUPprof
+			}
 		}
 		if len(raw) == 0 {
-			return fmt.Errorf("prof: capture carries no CPU profile to extract")
+			return fmt.Errorf("diagnose: bundle carries no CPU profile to extract")
 		}
 		if err := os.WriteFile(*cpuOut, raw, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d-byte CPU profile to %s (inspect with `go tool pprof %s`)\n", len(raw), *cpuOut, *cpuOut)
+		fmt.Fprintf(w, "wrote %d-byte CPU profile to %s (inspect with `go tool pprof %s`)\n", len(raw), *cpuOut, *cpuOut)
 	}
-	return prof.WriteReport(os.Stdout, capture, *verbose)
+	return flight.WriteReport(w, b, *verbose)
+}
+
+// loadBundle reads a bundle from a questd debug URL or from disk. A URL
+// gets /debug/bundle appended when its path lacks it, and ?cpu=1 when
+// cpu asks for a fresh CPU window; its body goes through the same
+// decoder as a single-file bundle.
+func loadBundle(arg string, cpu bool) (*flight.Bundle, error) {
+	if !strings.HasPrefix(arg, "http://") && !strings.HasPrefix(arg, "https://") {
+		return flight.ReadBundle(arg)
+	}
+	target := strings.TrimRight(arg, "/")
+	if !strings.HasSuffix(target, "/debug/bundle") {
+		target += "/debug/bundle"
+	}
+	if cpu {
+		target += "?cpu=1"
+	}
+	resp, err := http.Get(target)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("diagnose: %s answered %s", target, resp.Status)
+	}
+	return flight.DecodeBundle(resp.Body, target)
 }
 
 func run(o options, cmd string, rest []string) error {
@@ -473,6 +384,6 @@ func run(o options, cmd string, rest []string) error {
 			1000*res.SecPerBundle, res.KBNodes)
 		return nil
 	default:
-		return fmt.Errorf("unknown command %q (train | classify | recommend | evaluate | export | import | diagnose | requests | prof)", cmd)
+		return fmt.Errorf("unknown command %q (train | classify | recommend | evaluate | export | import | diagnose)", cmd)
 	}
 }

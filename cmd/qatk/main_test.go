@@ -1,0 +1,76 @@
+package main
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/obs/flight"
+	"repro/internal/obs/prof"
+	"repro/internal/obs/reqlog"
+)
+
+// TestDiagnose runs `qatk diagnose` against the recorder's handler mounted
+// where questd mounts it, and against a bundle directory the same
+// recorder wrote: both reports carry the requests section and the
+// continuous profile, and -cpu writes a fresh CPU window from the URL.
+func TestDiagnose(t *testing.T) {
+	requests := reqlog.New(reqlog.Config{SampleAll: true})
+	requests.Begin("GET", "/api/recommend").Finish(200, 42, 3*time.Millisecond)
+	sampler := prof.New(prof.Config{
+		CaptureCPU: func(time.Duration) ([]byte, error) { return []byte("cpu-pprof-gz"), nil },
+		Profile: func(name string) ([]byte, error) {
+			if name == "goroutine" {
+				return []byte("goroutine profile: total 3\n3 @ 0x1\n#\t0x1\tmain.main+0x1\t/src/main.go:1\n"), nil
+			}
+			return nil, nil
+		},
+	})
+	t.Cleanup(sampler.Close)
+	sampler.SampleNow()
+	flightDir := t.TempDir()
+	recorder := flight.New(flight.Config{Dir: flightDir, Requests: requests, Profiles: sampler})
+	t.Cleanup(recorder.Close)
+	mux := http.NewServeMux()
+	mux.Handle("/debug/bundle", recorder.Handler())
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+
+	wants := []string{
+		"== REQUESTS (1 retained, newest first) ==",
+		"GET /api/recommend -> 200 in 3ms  trace=" + reqlog.TraceIDString(42) + "  [always]",
+		"== CONTINUOUS PROFILE — 1 snapshots",
+		"== GOROUTINES (top frames) ==",
+	}
+	cpuOut := filepath.Join(t.TempDir(), "out.pprof")
+	var report bytes.Buffer
+	if err := diagnose([]string{"-cpu", cpuOut, srv.URL}, &report); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range append(wants, "INCIDENT REPORT — ON_DEMAND", "breach_cpu") {
+		if !strings.Contains(report.String(), want) {
+			t.Errorf("URL report missing %q:\n%s", want, report.String())
+		}
+	}
+	if raw, err := os.ReadFile(cpuOut); err != nil || len(raw) == 0 {
+		t.Fatalf("-cpu wrote %d bytes, err %v; want a profile", len(raw), err)
+	}
+	if entries, _ := os.ReadDir(flightDir); len(entries) != 0 {
+		t.Fatalf("diagnosing the URL wrote %d entries to the flight dir", len(entries))
+	}
+
+	report.Reset()
+	if err := diagnose([]string{recorder.Trigger(flight.ReasonPanic)}, &report); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range append(wants, "INCIDENT REPORT — PANIC") {
+		if !strings.Contains(report.String(), want) {
+			t.Errorf("bundle dir report missing %q:\n%s", want, report.String())
+		}
+	}
+}

@@ -17,11 +17,14 @@
 // rate/latency/in-flight, panics, timeouts, WAL activity, build_info, and
 // the pre-registered pipeline families), structured key=value logs go to
 // stderr (tune with -log-level, redirect with -log-file), and -debug-addr
-// optionally serves net/http/pprof plus GET /debug/bundle (on-demand
-// flight-recorder capture + download), GET /debug/requests (the
-// tail-sampled wide-event ring, read it with `qatk requests`), and
-// GET /debug/prof (the continuous-profiler ring, read it with
-// `qatk prof`) on a separate loopback-only listener.
+// optionally serves net/http/pprof plus GET /debug/bundle on a separate
+// listener. /debug/bundle answers one flight bundle assembled on demand
+// — runtime, metric movement, spans, the retained wide events, the
+// continuous-profiler ring (?cpu=1 adds a fresh CPU window), logs and
+// goroutines — without writing anything; read it with
+// `qatk diagnose http://localhost:6060`. questd binds whatever address
+// -debug-addr names and the listener has no authentication, so bind it
+// to a loopback address such as localhost:6060.
 //
 // Wide events: every request assembles one structured event along the
 // whole serving path (stage timers, per-shard attempts, degradation).
@@ -32,7 +35,7 @@
 // to /metrics latency buckets as OpenMetrics exemplars.
 //
 // Flight recorder: -flight-dir arms a black-box recorder that retains
-// recent spans, log lines, and metric deltas, and snapshots a diagnostic
+// recent spans, log lines, and metric deltas, and writes a diagnostic
 // bundle (read it with `qatk diagnose <dir>`) when an anomaly fires — the
 // serving p99 exceeding -slo-p99 for consecutive windows, a recovered
 // handler panic, a reldb fsync-failure latch, or a goroutine-count spike.
@@ -101,7 +104,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.data, "data", "data", "data directory (from cmd/datagen)")
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&o.debugAddr, "debug-addr", "", "pprof + /debug/bundle listen address (e.g. localhost:6060; empty disables)")
+	flag.StringVar(&o.debugAddr, "debug-addr", "", "pprof + /debug/bundle listen address, unauthenticated: bind a loopback address such as localhost:6060 (empty disables)")
 	flag.DurationVar(&o.shutdownTimeout, "shutdown-timeout", 10*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
 	flag.DurationVar(&o.requestTimeout, "request-timeout", 30*time.Second, "per-request handler time budget (0 disables)")
 	flag.StringVar(&o.dbSync, "db-sync", "always", "WAL durability: always | interval | never")
@@ -118,7 +121,7 @@ func main() {
 	flag.DurationVar(&o.shardTimeout, "shard-timeout", shard.DefaultShardTimeout, "per-shard sub-query deadline")
 	flag.IntVar(&o.replicas, "replicas", 0, "WAL-shipped read replicas tailing the database as hedge/failover targets (0 disables)")
 	flag.DurationVar(&o.maxApplyLag, "max-apply-lag", shard.DefaultMaxApplyLag, "replica staleness bound: beyond it a replica only serves rescues, flagged stale")
-	flag.IntVar(&o.reqRing, "req-ring", reqlog.DefaultCapacity, "retained wide-event ring capacity for /debug/requests")
+	flag.IntVar(&o.reqRing, "req-ring", reqlog.DefaultCapacity, "retained wide-event ring capacity (the requests section of /debug/bundle and flight bundles)")
 	flag.IntVar(&o.reqSample, "req-sample", 0, "head-sample 1 in N requests into the wide-event ring regardless of tail criteria (0 disables)")
 	flag.BoolVar(&o.exemplars, "exemplars", false, "attach OpenMetrics trace exemplars to retained requests' latency buckets on /metrics")
 	flag.DurationVar(&o.profInterval, "prof-interval", obsprof.DefaultInterval, "continuous-profiler sampling cadence (0 disables the profiler)")
@@ -132,15 +135,17 @@ func main() {
 	}
 }
 
-// pprofMux builds an explicit pprof mux rather than relying on the
-// DefaultServeMux side effects of importing net/http/pprof.
-func pprofMux() *http.ServeMux {
+// debugMux builds the debug listener's mux: the pprof handlers,
+// registered explicitly rather than through the DefaultServeMux side
+// effects of importing net/http/pprof, and the recorder's /debug/bundle.
+func debugMux(recorder *flight.Recorder) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/debug/bundle", recorder.Handler())
 	return mux
 }
 
@@ -159,8 +164,7 @@ func run(o options) error {
 	pipeline.RegisterMetrics(metrics)
 
 	// The wide-event request log: one canonical event per request, tail
-	// sampled into a fixed ring, served at /debug/requests on the debug mux
-	// and frozen into flight-recorder bundles.
+	// sampled into a fixed ring that flight-recorder bundles freeze.
 	reqLog := reqlog.New(reqlog.Config{
 		Capacity:  o.reqRing,
 		HeadEvery: o.reqSample,
@@ -183,9 +187,8 @@ func run(o options) error {
 		defer profiler.Close()
 	}
 
-	// The flight recorder runs whenever a bundle directory OR the debug
-	// mux could use it; without -flight-dir triggers still log and count
-	// but nothing is persisted.
+	// The flight recorder always runs: the debug mux reads it, and without
+	// -flight-dir triggers still log and count but nothing is persisted.
 	recorder := flight.New(flight.Config{
 		Dir:           o.flightDir,
 		Registry:      metrics,
@@ -307,18 +310,14 @@ func run(o options) error {
 	}
 
 	if o.debugAddr != "" {
-		mux := pprofMux()
-		mux.Handle("/debug/bundle", recorder.Handler())
-		mux.Handle("/debug/requests", reqLog.Handler())
-		mux.Handle("/debug/prof", profiler.Handler())
-		dbg := &http.Server{Addr: o.debugAddr, Handler: mux}
+		dbg := &http.Server{Addr: o.debugAddr, Handler: debugMux(recorder)}
 		//lint:ignore qatklint/goroleak the debug listener is process-lifetime by design: it dies with the daemon, and tearing it down on drain would cut off pprof exactly when a stuck shutdown needs diagnosing
 		go func() {
 			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("debug server failed", obs.L("addr", o.debugAddr), obs.L("err", err.Error()))
 			}
 		}()
-		logger.Info("debug mux listening (pprof + /debug/bundle + /debug/requests + /debug/prof)", obs.L("addr", o.debugAddr))
+		logger.Info("debug mux listening (pprof + /debug/bundle)", obs.L("addr", o.debugAddr))
 	}
 
 	// WriteTimeout must outlast the handler budget, or the timeout

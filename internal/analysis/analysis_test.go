@@ -63,7 +63,6 @@ func TestLoadFixtureModule(t *testing.T) {
 		"qatktest/internal/reldb",
 		"qatktest/datagen",
 		"qatktest/metrics",
-		"qatktest/locks",
 		"qatktest/suppress",
 		"qatktest/ctxflow",
 		"qatktest/goroleak",
@@ -217,7 +216,7 @@ func TestSuppression(t *testing.T) {
 			inFile = append(inFile, d)
 		}
 	}
-	var malformed, unused, errattr, lockcopy int
+	var malformed, unused, errattr, paniccontract int
 	for _, d := range inFile {
 		switch {
 		case d.Analyzer == "suppression" && d.Category == "unused":
@@ -232,8 +231,8 @@ func TestSuppression(t *testing.T) {
 			}
 		case d.Analyzer == "errattr":
 			errattr++
-		case d.Analyzer == "lockcopy":
-			lockcopy++
+		case d.Analyzer == "paniccontract":
+			paniccontract++
 		default:
 			t.Errorf("unexpected analyzer in suppress fixture: %s", d.String())
 		}
@@ -250,10 +249,10 @@ func TestSuppression(t *testing.T) {
 	if errattr != 2 {
 		t.Errorf("surviving errattr findings = %d, want 2 (two suppressed)", errattr)
 	}
-	// MultiDiag's suppression names errattr only: the lockcopy finding
-	// sharing the line survives.
-	if lockcopy != 1 {
-		t.Errorf("surviving lockcopy findings = %d, want 1 (multi-diagnostic line)", lockcopy)
+	// MultiDiag's suppression names errattr only: the paniccontract
+	// finding sharing the line survives.
+	if paniccontract != 1 {
+		t.Errorf("surviving paniccontract findings = %d, want 1 (multi-diagnostic line)", paniccontract)
 	}
 }
 
@@ -367,7 +366,7 @@ func TestRunCommand(t *testing.T) {
 			t.Fatalf("exit = %d, want %d (stderr: %s)", code, ExitFindings, errs.String())
 		}
 		text := out.String()
-		if !strings.Contains(text, "qatklint/casretain") || !strings.Contains(text, "qatklint/lockcopy") {
+		if !strings.Contains(text, "qatklint/casretain") || !strings.Contains(text, "qatklint/paniccontract") {
 			t.Errorf("text output is missing analyzer IDs:\n%s", text)
 		}
 		// Paths are relativized against -C and keyed file:line:col.

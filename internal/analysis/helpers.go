@@ -14,7 +14,6 @@ func All() []*Analyzer {
 		ErrAttr,
 		Determinism,
 		PanicContract,
-		LockCopy,
 		MetricName,
 		VFSOnly,
 		CtxFlow,

@@ -5,10 +5,7 @@
 // comments.)
 package suppress
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Wrapped carries a sanctioned suppression with a reason.
 func Wrapped(err error) error {
@@ -36,11 +33,9 @@ func Unused(err error) error {
 	return fmt.Errorf("suppress: wrapped: %w", err)
 }
 
-// mutexed lets lockcopy fire on the same line as an errattr finding.
-type mutexed struct{ mu sync.Mutex }
-
-// MultiDiag puts two analyzers on one statement line: the suppression
-// names only errattr, so the lockcopy finding on the same line survives.
+// MultiDiag puts two analyzers on one statement line: its recover()
+// call is a paniccontract finding beside the errattr one, and the
+// suppression names only errattr, so the paniccontract finding survives.
 //
 //lint:ignore qatklint/errattr the legacy log format is parsed downstream
-func MultiDiag(m mutexed, err error) error { return fmt.Errorf("legacy: %v", err) }
+func MultiDiag(err error) error { return fmt.Errorf("legacy: %v (%v)", err, recover()) }

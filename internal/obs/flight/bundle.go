@@ -2,7 +2,10 @@ package flight
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -44,9 +47,9 @@ type MemSummary struct {
 // Bundle is one diagnostic snapshot: everything an on-call engineer needs
 // to reconstruct the state of the process at the moment a trigger fired.
 // It serializes two ways — a timestamped directory of focused files
-// (WriteDir) for the flight directory, and a single JSON document
-// (MarshalJSON via the plain struct) for the /debug/bundle download.
-// ReadBundle accepts both.
+// (WriteDir) for the flight directory, and a single JSON document (the
+// plain struct) for the /debug/bundle response. ReadBundle accepts both,
+// and DecodeBundle reads the single document from any stream.
 type Bundle struct {
 	Schema      int               `json:"schema"`
 	Reason      string            `json:"reason"`
@@ -65,14 +68,11 @@ type Bundle struct {
 	// Extras carries per-subsystem state from registered info providers
 	// (e.g. reldb WAL/sync stats), keyed provider name → field → value.
 	Extras map[string]map[string]string `json:"extras,omitempty"`
-	// Requests freezes the tail-sampled wide-event ring (newest first) —
-	// the same records /debug/requests serves, so `qatk requests` reads a
-	// bundle and a live server identically.
+	// Requests freezes the tail-sampled wide-event ring, newest first.
 	Requests []reqlog.Event `json:"requests,omitempty"`
-	// Profiles freezes the continuous profiler's snapshot ring (plus a
-	// fresh breach-window CPU capture for breach triggers) — the same
-	// Capture /debug/prof serves, so `qatk prof` reads a bundle and a
-	// live server identically. Additive since PR 10: bundles written
+	// Profiles freezes the continuous profiler's snapshot ring, plus a
+	// fresh CPU capture of the breach window for breach triggers and
+	// for GET /debug/bundle?cpu=1. Additive since PR 10: bundles written
 	// before it simply lack the section, and ReadBundle leaves it nil.
 	Profiles *prof.Capture `json:"profiles,omitempty"`
 }
@@ -207,34 +207,29 @@ func writeJSONFile(path string, v any) error {
 }
 
 // ReadBundle loads a bundle from either serialized form: a bundle
-// directory written by WriteDir, or a single JSON file downloaded from
-// /debug/bundle.
+// directory written by WriteDir, or a single JSON file saved from
+// /debug/bundle. In a directory a missing section file is an absent
+// section, but one that fails to parse is an error naming the file.
 func ReadBundle(path string) (*Bundle, error) {
 	info, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("flight: open bundle: %w", err)
 	}
 	if !info.IsDir() {
-		data, err := os.ReadFile(path)
+		f, err := os.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("flight: read bundle: %w", err)
 		}
-		var b Bundle
-		if err := json.Unmarshal(data, &b); err != nil {
-			return nil, fmt.Errorf("flight: parse bundle %s: %w", path, err)
-		}
-		if b.Schema > BundleSchema {
-			return nil, fmt.Errorf("flight: bundle %s has schema %d, newer than this reader (%d)", path, b.Schema, BundleSchema)
-		}
-		return &b, nil
+		defer f.Close()
+		return DecodeBundle(f, path)
 	}
 
 	var m manifest
 	if err := readJSONFile(filepath.Join(path, manifestFile), &m); err != nil {
 		return nil, err
 	}
-	if m.Schema > BundleSchema {
-		return nil, fmt.Errorf("flight: bundle %s has schema %d, newer than this reader (%d)", path, m.Schema, BundleSchema)
+	if err := checkSchema(m.Schema, path); err != nil {
+		return nil, err
 	}
 	b := &Bundle{
 		Schema: m.Schema, Reason: m.Reason, Time: m.Time, Details: m.Details,
@@ -242,13 +237,21 @@ func ReadBundle(path string) (*Bundle, error) {
 		MemStats: m.MemStats,
 	}
 	var sf spansFile
-	if err := readJSONFile(filepath.Join(path, spansFileName), &sf); err == nil {
-		b.Spans, b.SpanStats = sf.Spans, sf.SpanStats
+	for _, sec := range []struct {
+		file string
+		v    any
+	}{
+		{spansFileName, &sf},
+		{metricsFile, &b.Metrics},
+		{extrasFile, &b.Extras},
+		{requestsFile, &b.Requests},
+		{profilesFile, &b.Profiles},
+	} {
+		if err := readJSONFile(filepath.Join(path, sec.file), sec.v); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
+		}
 	}
-	_ = readJSONFile(filepath.Join(path, metricsFile), &b.Metrics)
-	_ = readJSONFile(filepath.Join(path, extrasFile), &b.Extras)
-	_ = readJSONFile(filepath.Join(path, requestsFile), &b.Requests)
-	_ = readJSONFile(filepath.Join(path, profilesFile), &b.Profiles)
+	b.Spans, b.SpanStats = sf.Spans, sf.SpanStats
 	if data, err := os.ReadFile(filepath.Join(path, logsFileName)); err == nil && len(data) > 0 {
 		b.Logs = strings.Split(strings.TrimRight(string(data), "\n"), "\n")
 	}
@@ -256,6 +259,33 @@ func ReadBundle(path string) (*Bundle, error) {
 		b.GoroutineDump = string(data)
 	}
 	return b, nil
+}
+
+// DecodeBundle reads the single-document form of a bundle, as GET
+// /debug/bundle answers it and as a saved download or a chaos artifact
+// holds it; name labels errors. Like ReadBundle it refuses a bundle
+// from a newer schema rather than misread it.
+func DecodeBundle(r io.Reader, name string) (*Bundle, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("flight: read bundle %s: %w", name, err)
+	}
+	var b Bundle
+	if err := json.Unmarshal(data, &b); err != nil {
+		return nil, fmt.Errorf("flight: parse bundle %s: %w", name, err)
+	}
+	if err := checkSchema(b.Schema, name); err != nil {
+		return nil, err
+	}
+	return &b, nil
+}
+
+// checkSchema refuses a bundle written by a newer build.
+func checkSchema(schema int, name string) error {
+	if schema > BundleSchema {
+		return fmt.Errorf("flight: bundle %s has schema %d, newer than this reader (%d)", name, schema, BundleSchema)
+	}
+	return nil
 }
 
 // readJSONFile decodes one JSON file into v.
@@ -319,28 +349,27 @@ func (b *Bundle) Deltas() []MetricDelta {
 	return out
 }
 
-// Handler serves on-demand capture + download: GET captures a bundle
-// right now (reason "on_demand", rate limit bypassed), persists it to the
-// flight directory when one is configured, and answers with the complete
-// bundle as a single JSON document. A nil recorder answers 503 so probes
-// can tell "disabled" from "broken".
+// Handler serves the live view, GET /debug/bundle: a bundle with reason
+// on_demand and the caller's address, assembled in memory and answered
+// as one JSON document. ?cpu=1 adds a fresh CPU capture of one profiler
+// window. The view is read-only: it writes no bundle directory, prunes
+// nothing, counts nothing and leaves the metric-delta ring as it was, so
+// polling it cannot push an incident bundle out of retention. A nil
+// recorder answers 503 so probes can tell "disabled" from "broken".
 func (r *Recorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if r == nil {
 			http.Error(w, "flight recorder disabled", http.StatusServiceUnavailable)
 			return
 		}
-		b, dir, err := r.CaptureNow("on_demand", obs.L("remote", req.RemoteAddr))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+		r.mu.Lock()
+		b := r.captureLocked(ReasonOnDemand, []obs.Label{obs.L("remote", req.RemoteAddr)}, false)
+		r.mu.Unlock()
+		// Outside r.mu: a CPU window must not hold up the watchdog.
+		b.Profiles = r.cfg.Profiles.Freeze(req.URL.Query().Get("cpu") == "1")
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition",
 			`attachment; filename="`+b.DirName()+`.json"`)
-		if dir != "" {
-			w.Header().Set("X-Flight-Bundle-Dir", dir)
-		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(b)

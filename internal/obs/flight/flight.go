@@ -12,7 +12,10 @@
 // fold progress before a deadline), and a goroutine-count spike check.
 // Hard events trigger directly from the subsystem that detects them:
 // handler panic recovery (quest), the pipeline circuit breaker, and the
-// reldb fsync-failure latch.
+// reldb fsync-failure latch. Only triggers write bundles to disk; the
+// debug handler (GET /debug/bundle) assembles the same bundle in memory
+// for one response and leaves the flight directory, the counters and the
+// metric history as they were.
 //
 // Everything is nil-safe: a nil *Recorder (recording disabled) makes
 // every method — including Guard heartbeats on the pipeline hot path — a
@@ -21,7 +24,6 @@ package flight
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -92,9 +94,9 @@ const (
 
 // Config wires a Recorder.
 type Config struct {
-	// Dir is where bundles are written, one timestamped directory each.
-	// Empty disables persistence: triggers still fire, log, and count,
-	// and /debug/bundle still serves in-memory captures.
+	// Dir is where triggered bundles are written, one timestamped
+	// directory each. Empty disables persistence: triggers still fire,
+	// log, and count.
 	Dir string
 	// Clock is the injected time source (default time.Now). Every
 	// watchdog decision reads it, so tests are deterministic.
@@ -139,9 +141,8 @@ type Config struct {
 
 	// MetricsHistory bounds the ring of periodic registry captures a
 	// bundle carries; MaxBundles bounds flight-directory retention
-	// (oldest deleted first); MinInterval rate-limits anomaly-triggered
-	// bundles (on-demand captures bypass it); LogLines caps the log tail
-	// per bundle.
+	// (oldest deleted first); MinInterval rate-limits triggered bundles;
+	// LogLines caps the log tail per bundle.
 	MetricsHistory int
 	MaxBundles     int
 	MinInterval    time.Duration
@@ -389,7 +390,9 @@ func (r *Recorder) Tick(now time.Time) {
 		return
 	}
 	r.mu.Lock()
-	r.captureMetricsLocked(now)
+	if m, ok := r.readMetrics(now); ok {
+		r.metricHist = r.withReading(r.metricHist, m)
+	}
 	r.mu.Unlock()
 
 	if r.cfg.SLOTarget > 0 {
@@ -515,24 +518,32 @@ func (r *Recorder) Close() {
 
 // --- capture & trigger ---------------------------------------------------
 
-// captureMetricsLocked renders the registry and appends the parsed
-// capture to the delta ring. Caller holds r.mu.
-func (r *Recorder) captureMetricsLocked(now time.Time) {
+// readMetrics renders the registry into one parsed capture; ok is false
+// without a registry.
+func (r *Recorder) readMetrics(now time.Time) (MetricCapture, bool) {
 	if r.cfg.Registry == nil {
-		return
+		return MetricCapture{}, false
 	}
 	var buf bytes.Buffer
 	if err := r.cfg.Registry.WriteProm(&buf); err != nil {
-		return
+		return MetricCapture{}, false
 	}
-	r.metricHist = append(r.metricHist, MetricCapture{Time: now, Series: parseProm(buf.String())})
-	if n := len(r.metricHist); n > r.cfg.MetricsHistory {
-		r.metricHist = append(r.metricHist[:0], r.metricHist[n-r.cfg.MetricsHistory:]...)
-	}
+	return MetricCapture{Time: now, Series: parseProm(buf.String())}, true
 }
 
-// capture assembles a complete in-memory bundle. Caller holds r.mu.
-func (r *Recorder) captureLocked(reason string, details []obs.Label) *Bundle {
+// withReading appends m to hist and keeps the newest MetricsHistory
+// captures.
+func (r *Recorder) withReading(hist []MetricCapture, m MetricCapture) []MetricCapture {
+	hist = append(hist, m)
+	return hist[max(0, len(hist)-r.cfg.MetricsHistory):]
+}
+
+// captureLocked assembles a complete in-memory bundle, all but its
+// profiles section. The bundle's metrics are the delta ring plus one
+// fresh reading; record also adds that reading to the ring, as triggers
+// do, while the read-only debug view leaves the ring as it was. Caller
+// holds r.mu.
+func (r *Recorder) captureLocked(reason string, details []obs.Label, record bool) *Bundle {
 	now := r.clock()
 	b := &Bundle{
 		Schema: BundleSchema,
@@ -550,8 +561,13 @@ func (r *Recorder) captureLocked(reason string, details []obs.Label) *Bundle {
 	b.SpanStats = r.cfg.Tracer.Stats()
 	b.Logs = r.cfg.Logs.Recent(r.cfg.LogLines)
 	b.DroppedLogs = r.cfg.Logs.Dropped()
-	r.captureMetricsLocked(now)
 	b.Metrics = append([]MetricCapture(nil), r.metricHist...)
+	if m, ok := r.readMetrics(now); ok {
+		b.Metrics = r.withReading(b.Metrics, m)
+		if record {
+			r.metricHist = r.withReading(r.metricHist, m)
+		}
+	}
 	b.Goroutines = r.goroutines()
 	b.GoroutineDump = goroutineDump()
 	b.MemStats = readMemStats()
@@ -562,7 +578,6 @@ func (r *Recorder) captureLocked(reason string, details []obs.Label) *Bundle {
 		}
 	}
 	b.Requests = r.cfg.Requests.Snapshot()
-	b.Profiles = r.cfg.Profiles.Freeze(breachCPUReasons[reason])
 	return b
 }
 
@@ -619,45 +634,31 @@ func (r *Recorder) Trigger(reason string, details ...obs.Label) string {
 		return ""
 	}
 	r.lastAuto = now
-	dir, _ := r.writeLocked(r.captureLocked(reason, details))
-	return dir
-}
-
-// CaptureNow captures a bundle on demand, bypassing the rate limit, and
-// persists it when a flight directory is configured. It returns the
-// bundle, the directory it was written to ("" without persistence), and
-// any persistence error (the in-memory bundle is valid regardless).
-func (r *Recorder) CaptureNow(reason string, details ...obs.Label) (*Bundle, string, error) {
-	if r == nil {
-		return nil, "", fmt.Errorf("flight: recorder disabled")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b := r.captureLocked(reason, details)
-	dir, err := r.writeLocked(b)
-	return b, dir, err
+	b := r.captureLocked(reason, details, true)
+	b.Profiles = r.cfg.Profiles.Freeze(breachCPUReasons[reason])
+	return r.writeLocked(b)
 }
 
 // writeLocked persists a bundle (when Dir is set), prunes retention,
 // counts, and logs. Caller holds r.mu.
-func (r *Recorder) writeLocked(b *Bundle) (string, error) {
+func (r *Recorder) writeLocked(b *Bundle) string {
 	r.bundlesByReason(b.Reason).Inc()
 	if r.cfg.Dir == "" {
 		r.log.Error("flight trigger fired (no flight dir, bundle not persisted)",
 			obs.L("reason", b.Reason))
-		return "", nil
+		return ""
 	}
 	dir, err := b.WriteDir(r.cfg.Dir)
 	if err != nil {
 		r.log.Error("flight bundle write failed",
 			obs.L("reason", b.Reason), obs.L("err", err.Error()))
-		return "", err
+		return ""
 	}
 	r.lastDir = dir
 	r.pruneLocked()
 	r.log.Error("diagnostic bundle captured",
 		obs.L("reason", b.Reason), obs.L("dir", dir))
-	return dir, nil
+	return dir
 }
 
 // pruneLocked enforces MaxBundles retention, deleting the oldest bundle

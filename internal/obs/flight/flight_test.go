@@ -1,7 +1,7 @@
 package flight
 
 import (
-	"encoding/json"
+	"bytes"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -233,7 +233,8 @@ func TestGoroutineSpikeLatches(t *testing.T) {
 }
 
 // TestTriggerRateLimitAndOnDemandBypass: anomaly triggers inside
-// MinInterval are suppressed and counted; CaptureNow ignores the limit.
+// MinInterval are suppressed and counted; GET /debug/bundle still
+// answers during the limit, and writes nothing.
 func TestTriggerRateLimitAndOnDemandBypass(t *testing.T) {
 	r, clock, reg, dir := newTestRecorder(t, func(c *Config) {
 		c.MinInterval = time.Minute
@@ -248,11 +249,11 @@ func TestTriggerRateLimitAndOnDemandBypass(t *testing.T) {
 	if got := reg.Counter(MetricFlightSuppressedTotal).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricFlightSuppressedTotal, got)
 	}
-	if _, _, err := r.CaptureNow(ReasonOnDemand); err != nil {
-		t.Fatalf("CaptureNow during rate limit: %v", err)
+	if b := getBundle(t, r, "/debug/bundle"); b.Reason != ReasonOnDemand {
+		t.Fatalf("on-demand view during rate limit: reason %q", b.Reason)
 	}
-	if got := listBundles(t, dir); len(got) != 2 {
-		t.Fatalf("bundles = %v, want panic + on_demand", got)
+	if got := listBundles(t, dir); len(got) != 1 {
+		t.Fatalf("bundles = %v, want the panic bundle only", got)
 	}
 	clock.Advance(time.Minute)
 	if d := r.Trigger(ReasonCircuitBreaker); d == "" {
@@ -261,11 +262,31 @@ func TestTriggerRateLimitAndOnDemandBypass(t *testing.T) {
 	if got := reg.Counter(MetricFlightBundlesTotal, obs.L("reason", ReasonPanic)).Value(); got != 1 {
 		t.Errorf("bundles{reason=panic} = %d, want 1", got)
 	}
+	if got := listBundles(t, dir); len(got) != 2 {
+		t.Fatalf("bundles = %v, want panic + circuit_breaker", got)
+	}
 }
 
-// TestBundleRoundTripDirAndJSON: a captured bundle survives both
-// serializations — the flight directory and the single JSON download —
-// with spans, logs, metrics, and extras intact.
+// getBundle GETs path from the recorder's handler and decodes the
+// response through the one reader of the single-document form.
+func getBundle(t *testing.T, r *Recorder, path string) *Bundle {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	if rec.Code != 200 {
+		t.Fatalf("GET %s = %d, body %s", path, rec.Code, rec.Body.String())
+	}
+	b, err := DecodeBundle(rec.Body, path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	return b
+}
+
+// TestBundleRoundTripDirAndJSON: both serializations carry every
+// section — the directory a Trigger writes, and the single JSON document
+// GET /debug/bundle answers, saved to a file — with spans, logs,
+// metrics, and extras intact.
 func TestBundleRoundTripDirAndJSON(t *testing.T) {
 	r, clock, reg, dir := newTestRecorder(t, func(c *Config) {})
 	r.AddInfo("reldb", func() map[string]string {
@@ -280,35 +301,32 @@ func TestBundleRoundTripDirAndJSON(t *testing.T) {
 	reg.Counter("qatk_pipeline_documents_total").Add(3)
 	r.Tick(clock.Advance(time.Second))
 
-	b, bdir, err := r.CaptureNow(ReasonOnDemand, obs.L("remote", "test"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	bdir := r.Trigger(ReasonPanic, obs.L("value", "test"))
 	if bdir == "" {
 		t.Fatal("no bundle dir written")
 	}
-
 	fromDir, err := ReadBundle(bdir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/bundle", nil))
 	jsonPath := filepath.Join(dir, "download.json")
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
+	if err := os.WriteFile(jsonPath, rec.Body.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fromJSON, err := ReadBundle(jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fromDir.Reason != ReasonPanic || fromDir.Details["value"] != "test" {
+		t.Errorf("dir: reason/details = %q/%v", fromDir.Reason, fromDir.Details)
+	}
+	if fromJSON.Reason != ReasonOnDemand || fromJSON.Details["remote"] == "" {
+		t.Errorf("json: reason/details = %q/%v", fromJSON.Reason, fromJSON.Details)
+	}
 
 	for name, got := range map[string]*Bundle{"dir": fromDir, "json": fromJSON} {
-		if got.Reason != ReasonOnDemand || got.Details["remote"] != "test" {
-			t.Errorf("%s: reason/details = %q/%v", name, got.Reason, got.Details)
-		}
 		if len(got.Spans) != 1 || got.Spans[0].Name != "pipeline.run" {
 			t.Errorf("%s: spans = %+v", name, got.Spans)
 		}
@@ -347,15 +365,15 @@ func TestReadBundleRejectsNewerSchema(t *testing.T) {
 	}
 }
 
-// TestRetentionPrunesOldest: MaxBundles is enforced with oldest-first
-// deletion.
+// TestRetentionPrunesOldest: MaxBundles is enforced on triggered
+// bundles with oldest-first deletion.
 func TestRetentionPrunesOldest(t *testing.T) {
 	r, clock, _, dir := newTestRecorder(t, func(c *Config) {
 		c.MaxBundles = 3
 	})
 	for i := 0; i < 5; i++ {
-		if _, _, err := r.CaptureNow(ReasonOnDemand); err != nil {
-			t.Fatal(err)
+		if r.Trigger(ReasonPanic) == "" {
+			t.Fatal("trigger wrote no bundle")
 		}
 		clock.Advance(time.Second)
 	}
@@ -371,16 +389,17 @@ func TestRetentionPrunesOldest(t *testing.T) {
 }
 
 // TestHandlerServesParseableBundle: GET /debug/bundle answers a JSON
-// document ReadBundle-compatible, with the attachment headers set.
+// document DecodeBundle reads, with the attachment headers set and no
+// bundle directory named, since none is written.
 func TestHandlerServesParseableBundle(t *testing.T) {
-	r, _, _, dir := newTestRecorder(t, func(c *Config) {})
+	r, _, _, _ := newTestRecorder(t, func(c *Config) {})
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/bundle", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
 	}
-	var b Bundle
-	if err := json.Unmarshal(rec.Body.Bytes(), &b); err != nil {
+	b, err := DecodeBundle(bytes.NewReader(rec.Body.Bytes()), "response")
+	if err != nil {
 		t.Fatalf("response not a bundle: %v", err)
 	}
 	if b.Reason != ReasonOnDemand || b.Details["remote"] == "" {
@@ -389,8 +408,8 @@ func TestHandlerServesParseableBundle(t *testing.T) {
 	if cd := rec.Header().Get("Content-Disposition"); !strings.Contains(cd, "attachment") {
 		t.Errorf("Content-Disposition = %q", cd)
 	}
-	if got := rec.Header().Get("X-Flight-Bundle-Dir"); !strings.HasPrefix(got, dir) {
-		t.Errorf("X-Flight-Bundle-Dir = %q, want under %q", got, dir)
+	if got := rec.Header().Get("X-Flight-Bundle-Dir"); got != "" {
+		t.Errorf("X-Flight-Bundle-Dir = %q, want none", got)
 	}
 	// Nil recorder: disabled, not broken.
 	rec = httptest.NewRecorder()
@@ -412,7 +431,7 @@ func TestWriteReport(t *testing.T) {
 	r.Tick(clock.Advance(time.Second))
 	reg.Counter("qatk_pipeline_documents_total").Add(2)
 	r.Tick(clock.Advance(time.Second))
-	b, _, err := r.CaptureNow(ReasonPanic, obs.L("value", "nil deref"))
+	b, err := ReadBundle(r.Trigger(ReasonPanic, obs.L("value", "nil deref")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,9 +474,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.Watch(time.Second)
 	if d := r.Trigger(ReasonPanic); d != "" {
 		t.Errorf("nil Trigger = %q", d)
-	}
-	if _, _, err := r.CaptureNow(ReasonOnDemand); err == nil {
-		t.Error("nil CaptureNow must error")
 	}
 	if r.LastBundleDir() != "" {
 		t.Error("nil LastBundleDir non-empty")

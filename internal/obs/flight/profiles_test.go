@@ -70,7 +70,7 @@ func newTestSampler(t *testing.T) *prof.Sampler {
 // profiler/flight coupling: a deterministic SLO breach freezes the
 // profile ring — with heap deltas — plus a fresh CPU capture of the
 // breach window into the bundle, the bundle round-trips through both
-// serializations, and the `qatk prof` renderer reads it.
+// serializations, and the incident report renders the profile.
 func TestSLOBreachBundleCarriesProfiles(t *testing.T) {
 	sampler := newTestSampler(t)
 	r, clock, _, dir := newTestRecorder(t, func(c *Config) {
@@ -135,40 +135,28 @@ func TestSLOBreachBundleCarriesProfiles(t *testing.T) {
 		t.Fatalf("JSON round-trip lost the profiles section: %+v", b2.Profiles)
 	}
 
-	// The `qatk prof` renderer reads the frozen capture.
+	// The incident report renders the frozen capture.
 	var report bytes.Buffer
-	if err := prof.WriteReport(&report, b.Profiles, false); err != nil {
+	if err := WriteReport(&report, b, false); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"CONTINUOUS PROFILE", "HEAP DELTA", "repro/internal/kb.Build", "breach_cpu"} {
+	for _, want := range []string{"CONTINUOUS PROFILE — 2 snapshots", "HEAP DELTA", "repro/internal/kb.Build", "breach_cpu"} {
 		if !strings.Contains(report.String(), want) {
-			t.Fatalf("prof report missing %q:\n%s", want, report.String())
+			t.Fatalf("report missing %q:\n%s", want, report.String())
 		}
-	}
-
-	// And `qatk diagnose` summarizes it inline.
-	var diag bytes.Buffer
-	if err := WriteReport(&diag, b, false); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(diag.String(), "PROFILES (2 snapshots") {
-		t.Fatalf("diagnose report missing profiles section:\n%s", diag.String())
 	}
 }
 
-// TestOnDemandCaptureFreezesRingWithoutBreachCPU: the on-demand reason
-// is not a breach trigger, so the bundle carries the ring but no fresh
-// CPU window.
+// TestOnDemandCaptureFreezesRingWithoutBreachCPU: a plain GET of
+// /debug/bundle carries the ring but takes no fresh CPU window; that
+// takes ?cpu=1.
 func TestOnDemandCaptureFreezesRingWithoutBreachCPU(t *testing.T) {
 	sampler := newTestSampler(t)
 	r, _, _, _ := newTestRecorder(t, func(c *Config) {
 		c.Profiles = sampler
 	})
 	sampler.SampleNow()
-	b, _, err := r.CaptureNow(ReasonOnDemand)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := getBundle(t, r, "/debug/bundle")
 	if b.Profiles == nil || len(b.Profiles.Ring) != 1 {
 		t.Fatalf("on-demand profiles = %+v", b.Profiles)
 	}

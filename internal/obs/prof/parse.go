@@ -8,9 +8,9 @@ import (
 )
 
 // Snapshot is one periodic capture: the raw CPU window plus parsed
-// top-N summaries of the text profiles. It serializes as JSON both in
-// the /debug/prof response and inside flight bundles (CPUPprof is
-// base64, the standard encoding/json treatment of []byte).
+// top-N summaries of the text profiles. It serializes as JSON inside
+// flight bundles (CPUPprof is base64, the standard encoding/json
+// treatment of []byte).
 type Snapshot struct {
 	Time time.Time `json:"time"`
 	// CPUPprof is the raw gzipped pprof protobuf of one WindowSize CPU
@@ -69,8 +69,7 @@ type FrameDelta struct {
 	NowValue   int64  `json:"now_objects"`
 }
 
-// Capture is a frozen ring, the `profiles` section of a flight bundle
-// and the body of GET /debug/prof.
+// Capture is a frozen ring, the `profiles` section of a flight bundle.
 type Capture struct {
 	// Ring holds the retained snapshots, oldest first.
 	Ring []Snapshot `json:"ring,omitempty"`

@@ -9,13 +9,13 @@
 // log rings: it retains the recent past cheaply, and when an anomaly
 // fires the flight recorder freezes it (plus a fresh CPU capture of the
 // breach window) into the diagnostic bundle as the `profiles` section.
-// A live questd additionally serves the ring at GET /debug/prof, and
-// `qatk prof <url|bundle>` renders either source identically.
+// A live questd's GET /debug/bundle freezes it the same way, and
+// `qatk diagnose <url|bundle>` renders either source identically.
 //
 // Everything is nil-safe: a nil *Sampler (profiling disabled) makes
 // every method a cheap no-op, mirroring the obs package contract. The
-// ring lock is split from the capture path, so readers (the debug
-// handler, a flight freeze) never wait on an in-flight CPU window.
+// ring lock is split from the capture path, so a freeze never waits on
+// an in-flight CPU window.
 package prof
 
 import (
@@ -45,7 +45,7 @@ const (
 	// the ring.
 	MetricRingBytes = "prof_ring_bytes"
 	// MetricFreezesTotal counts ring freezes into flight bundles or
-	// debug-handler responses.
+	// /debug/bundle responses.
 	MetricFreezesTotal = "prof_freezes_total"
 )
 
@@ -271,7 +271,7 @@ func (s *Sampler) Ring() []Snapshot {
 	return append([]Snapshot(nil), s.ring...)
 }
 
-// Freeze snapshots the ring for a bundle or debug response. When
+// Freeze snapshots the ring for a bundle or a /debug/bundle response. When
 // breachCPU is true it additionally runs a fresh CPU capture of one
 // WindowSize — the breach window — so the bundle carries the cycles of
 // the incident itself, not just the last periodic sample. A nil sampler

@@ -1,11 +1,7 @@
 package prof
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -195,33 +191,6 @@ func TestFreezeAddsBreachCPUOnlyWhenAsked(t *testing.T) {
 	}
 }
 
-func TestHandlerServesParseableCapture(t *testing.T) {
-	s, _ := newTestSampler(t, nil)
-	s.SampleNow()
-	s.SampleNow()
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/prof", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	var c Capture
-	if err := json.Unmarshal(rec.Body.Bytes(), &c); err != nil {
-		t.Fatalf("response not a Capture: %v", err)
-	}
-	if len(c.Ring) != 2 || len(c.Ring[1].HeapDelta) == 0 {
-		t.Fatalf("capture ring = %+v", c.Ring)
-	}
-	// ?cpu=1 adds the breach-window capture.
-	rec = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/prof?cpu=1", nil))
-	if err := json.Unmarshal(rec.Body.Bytes(), &c); err != nil {
-		t.Fatalf("cpu=1 response not a Capture: %v", err)
-	}
-	if len(c.BreachCPU) == 0 {
-		t.Fatalf("cpu=1 capture has no breach CPU profile")
-	}
-}
-
 func TestNilSamplerIsNoOp(t *testing.T) {
 	var s *Sampler
 	if s.SampleNow() != nil || s.Ring() != nil || s.Freeze(true) != nil {
@@ -229,45 +198,6 @@ func TestNilSamplerIsNoOp(t *testing.T) {
 	}
 	s.Start()
 	s.Close()
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/prof", nil))
-	if rec.Code != 503 {
-		t.Fatalf("nil handler status = %d, want 503", rec.Code)
-	}
-}
-
-func TestWriteReportRendersDeltasAndGrowth(t *testing.T) {
-	s, _ := newTestSampler(t, nil)
-	s.SampleNow()
-	s.SampleNow()
-	var buf bytes.Buffer
-	if err := WriteReport(&buf, s.Freeze(true), true); err != nil {
-		t.Fatalf("WriteReport: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"CONTINUOUS PROFILE",
-		"GOROUTINE GROWTH",
-		"HEAP DELTA",
-		"repro/internal/kb.Build",
-		"MUTEX CONTENTION",
-		"breach_cpu",
-		"RING HISTORY",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestWriteReportEmptyCapture(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteReport(&buf, nil, false); err != nil {
-		t.Fatalf("WriteReport(nil): %v", err)
-	}
-	if !strings.Contains(buf.String(), "no profile snapshots") {
-		t.Fatalf("empty report: %q", buf.String())
-	}
 }
 
 // TestRealRuntimeProfiles exercises the non-injected capture path once:

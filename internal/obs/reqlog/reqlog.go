@@ -6,8 +6,8 @@
 // zero-alloc StageClock carried on the request context. A tail sampler
 // retains full events only when they matter (slow, degraded, hedged,
 // non-2xx, panic, breaker trip — plus always-sample and head-sample
-// escape hatches) in a fixed-capacity ring served at /debug/requests,
-// frozen into flight-recorder bundles, and rendered by `qatk requests`.
+// escape hatches) in a fixed-capacity ring that flight-recorder bundles
+// and questd's GET /debug/bundle freeze, and `qatk diagnose` renders.
 //
 // Everything is nil-safe, mirroring the obs contract: a nil *Log hands
 // out nil *Builder handles, a nil *Builder hands out a nil *StageClock,
@@ -135,8 +135,7 @@ type ShardAttempt struct {
 // Event is one request's wide event: everything the serving path learned
 // about it, in one record. Durations serialize as integer nanoseconds
 // (the encoding/json rendering of time.Duration), so events round-trip
-// bit-identically through /debug/requests, flight bundles, and `qatk
-// requests`.
+// bit-identically through /debug/bundle responses and bundle files.
 type Event struct {
 	TraceID  string        `json:"trace_id"`
 	Method   string        `json:"method"`

@@ -2,8 +2,6 @@ package reqlog
 
 import (
 	"context"
-	"encoding/json"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -200,62 +198,6 @@ func TestBuilderAssemblesWideEvent(t *testing.T) {
 	}
 	if !ev.Hedged {
 		t.Fatal("hedged flag lost")
-	}
-}
-
-// TestHandlerRoundTrip serves events over HTTP and decodes them back,
-// asserting the JSON form round-trips the full event.
-func TestHandlerRoundTrip(t *testing.T) {
-	l := New(Config{Capacity: 4, Clock: newFakeClock().now})
-	finish(l, 503, 7*time.Millisecond, func(b *Builder) {
-		b.Query("P001", 2)
-		b.Attempt(ShardAttempt{Shard: 0, Attempt: 1, Duration: 6 * time.Millisecond, Err: "context deadline exceeded"})
-		b.Outcome(true, true, true, []int{0})
-	})
-	finish(l, 200, time.Millisecond, func(b *Builder) {
-		b.Outcome(false, true, false, nil)
-	})
-
-	srv := httptest.NewServer(l.Handler())
-	defer srv.Close()
-
-	var got []Event
-	resp, err := srv.Client().Get(srv.URL + "/debug/requests")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, l.Snapshot()) {
-		t.Fatalf("HTTP round-trip mismatch:\n got %+v\nwant %+v", got, l.Snapshot())
-	}
-
-	// ?reason= filters, ?n= caps.
-	resp, err = srv.Client().Get(srv.URL + "/debug/requests?reason=degraded")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var degraded []Event
-	if err := json.NewDecoder(resp.Body).Decode(&degraded); err != nil {
-		t.Fatal(err)
-	}
-	if len(degraded) != 1 || degraded[0].Status != 503 {
-		t.Fatalf("reason filter returned %+v", degraded)
-	}
-	resp, err = srv.Client().Get(srv.URL + "/debug/requests?n=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var capped []Event
-	if err := json.NewDecoder(resp.Body).Decode(&capped); err != nil {
-		t.Fatal(err)
-	}
-	if len(capped) != 1 || capped[0].Status != 200 {
-		t.Fatalf("n cap returned %+v", capped)
 	}
 }
 

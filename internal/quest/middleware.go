@@ -179,7 +179,8 @@ func (sr *statusRecorder) Unwrap() http.ResponseWriter {
 // sealed here with the status, trace ID and total latency. When an event
 // is retained and exemplars is set, the latency histogram bucket gains an
 // OpenMetrics exemplar carrying the event's trace ID — so a scrape links
-// a tail bucket to a concrete request in /debug/requests.
+// a tail bucket to a concrete request in the requests section of
+// /debug/bundle.
 func Instrument(reg *obs.Registry, tr *obs.Tracer, fr *flight.Recorder, rl *reqlog.Log, exemplars bool, next http.Handler) http.Handler {
 	inflight := reg.Gauge(MetricHTTPRequestsInflight)
 	duration := reg.Histogram(MetricHTTPRequestDurationSeconds, obs.DefBuckets)

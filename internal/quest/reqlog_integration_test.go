@@ -18,9 +18,10 @@ import (
 )
 
 // Tentpole acceptance: one wide event assembled across the whole serving
-// path round-trips identically through /debug/requests, the flight-recorder
-// bundle, and the `qatk requests` renderer — and with exemplars enabled the
-// /metrics exposition carries the retained request's trace ID.
+// path round-trips identically through a GET /debug/bundle response and a
+// bundle directory written by a trigger, the incident report rendered from
+// either names its trace — and with exemplars enabled the /metrics
+// exposition carries the retained request's trace ID.
 func TestWideEventEndToEnd(t *testing.T) {
 	metrics := obs.NewRegistry()
 	reqLog := reqlog.New(reqlog.Config{SampleAll: true, Registry: metrics})
@@ -60,13 +61,19 @@ func TestWideEventEndToEnd(t *testing.T) {
 		t.Fatalf("recommend = %d, want 200", code)
 	}
 
-	// The debug handler view (what questd mounts at /debug/requests).
-	dbg := httptest.NewServer(reqLog.Handler())
+	// The live view (what questd mounts at /debug/bundle).
+	dbg := httptest.NewServer(recorder.Handler())
 	t.Cleanup(dbg.Close)
-	var events []reqlog.Event
-	if code := getJSON(t, dbg.URL, &events); code != http.StatusOK {
-		t.Fatalf("/debug/requests = %d, want 200", code)
+	resp, err := http.Get(dbg.URL + "/debug/bundle")
+	if err != nil {
+		t.Fatal(err)
 	}
+	live, err := flight.DecodeBundle(resp.Body, dbg.URL)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/bundle = %d, %v; want 200 and a bundle", resp.StatusCode, err)
+	}
+	events := live.Requests
 	if len(events) != 1 {
 		t.Fatalf("retained %d events, want 1", len(events))
 	}
@@ -105,31 +112,29 @@ func TestWideEventEndToEnd(t *testing.T) {
 		t.Fatalf("shard attempts %+v: %d winners, want 1", ev.Shards, winners)
 	}
 
-	// The flight bundle freezes and round-trips the same event.
-	_, bdir, err := recorder.CaptureNow("test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := flight.ReadBundle(bdir)
+	// A triggered bundle directory freezes and round-trips the same event.
+	b, err := flight.ReadBundle(recorder.Trigger("test"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(b.Requests, events) {
-		t.Fatalf("bundle requests diverge from /debug/requests:\nbundle: %+v\nhandler: %+v", b.Requests, events)
+		t.Fatalf("bundle requests diverge from /debug/bundle:\nbundle: %+v\nlive: %+v", b.Requests, events)
 	}
 
-	// The `qatk requests` renderer presents the same event.
-	var report bytes.Buffer
-	if err := reqlog.WriteReport(&report, b.Requests); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(report.String(), "trace="+ev.TraceID) {
-		t.Fatalf("report lacks trace %s:\n%s", ev.TraceID, report.String())
+	// The `qatk diagnose` report presents the same event from either source.
+	for name, src := range map[string]*flight.Bundle{"url": live, "dir": b} {
+		var report bytes.Buffer
+		if err := flight.WriteReport(&report, src, false); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(report.String(), "trace="+ev.TraceID) {
+			t.Fatalf("%s report lacks trace %s:\n%s", name, ev.TraceID, report.String())
+		}
 	}
 
 	// The /metrics exposition carries the retained request's trace ID as
 	// an OpenMetrics exemplar on a latency bucket.
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,7 @@ func newChaosRig(t *testing.T) *chaosRig {
 			return
 		}
 		// The dump is a single-file flight bundle so the standard reader
-		// renders it: `qatk requests <path>`.
+		// renders it: `qatk diagnose <path>`.
 		dump := flight.Bundle{
 			Schema:   flight.BundleSchema,
 			Reason:   "chaos-test-failure",

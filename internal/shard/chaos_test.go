@@ -114,7 +114,7 @@ func newChaosEnv(t *testing.T, mut func(*Config)) *chaosEnv {
 			return
 		}
 		// The dump is a single-file flight bundle so the standard reader
-		// renders it: `qatk requests <path>`.
+		// renders it: `qatk diagnose <path>`.
 		dump := flight.Bundle{
 			Schema:   flight.BundleSchema,
 			Reason:   "chaos-test-failure",
