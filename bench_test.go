@@ -258,7 +258,7 @@ func BenchmarkAnnotatorCoverage(b *testing.B) {
 			if err := legacy.Process(cl); err != nil {
 				b.Fatal(err)
 			}
-			if len(cl.Select(annotate.TypeConcept)) == 0 {
+			if len(cl.Concepts()) == 0 {
 				legacyZero++
 			}
 			cm := bd.CAS()
@@ -268,7 +268,7 @@ func BenchmarkAnnotatorCoverage(b *testing.B) {
 			if err := modern.Process(cm); err != nil {
 				b.Fatal(err)
 			}
-			if len(cm.Select(annotate.TypeConcept)) == 0 {
+			if len(cm.Concepts()) == 0 {
 				modernZero++
 			}
 		}

@@ -147,10 +147,10 @@ func runCoverage(w io.Writer, corpus *datagen.Corpus) {
 		if err := (textproc.Tokenizer{}).Process(cm); err != nil {
 			continue
 		}
-		if err := legacy.Process(cl); err == nil && len(cl.Select(annotate.TypeConcept)) == 0 {
+		if err := legacy.Process(cl); err == nil && len(cl.Concepts()) == 0 {
 			legacyZero++
 		}
-		if err := modern.Process(cm); err == nil && len(cm.Select(annotate.TypeConcept)) == 0 {
+		if err := modern.Process(cm); err == nil && len(cm.Concepts()) == 0 {
 			modernZero++
 		}
 	}

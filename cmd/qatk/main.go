@@ -90,7 +90,7 @@ func main() {
 		// Reads a live server or a bundle on disk; needs no database,
 		// logger, or live recorder, so it must work even when -data
 		// points nowhere.
-		err = diagnose(rest, os.Stdout)
+		err = diagnose(rest, os.Stdout, fetchTimeout)
 	} else {
 		err = run(o, cmd, rest)
 	}
@@ -100,8 +100,14 @@ func main() {
 	}
 }
 
-// diagnose implements `qatk diagnose [-v] [-cpu out.pprof] <url|bundle>`.
-func diagnose(args []string, w io.Writer) error {
+// fetchTimeout bounds a diagnose fetch from a live server, so one that
+// does not answer is an error, not a hang. A -cpu fetch gets twice the
+// server's CPU window on top (see loadBundle).
+const fetchTimeout = 10 * time.Second
+
+// diagnose implements `qatk diagnose [-v] [-cpu out.pprof] <url|bundle>`;
+// a URL fetch fails after timeout.
+func diagnose(args []string, w io.Writer, timeout time.Duration) error {
 	fs := flag.NewFlagSet("diagnose", flag.ContinueOnError)
 	verbose := fs.Bool("v", false, "every metric series, span family, request, log line and ring snapshot, and the goroutine dump")
 	cpuOut := fs.String("cpu", "", "write the raw CPU pprof profile to this file (a URL also captures a fresh window)")
@@ -111,7 +117,7 @@ func diagnose(args []string, w io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: qatk diagnose [-v] [-cpu out.pprof] <url, bundle dir or .json>")
 	}
-	b, err := loadBundle(fs.Arg(0), *cpuOut != "")
+	b, err := loadBundle(fs.Arg(0), *cpuOut != "", timeout)
 	if err != nil {
 		return err
 	}
@@ -135,10 +141,14 @@ func diagnose(args []string, w io.Writer) error {
 }
 
 // loadBundle reads a bundle from a questd debug URL or from disk. A URL
-// gets /debug/bundle appended when its path lacks it, and ?cpu=1 when
-// cpu asks for a fresh CPU window; its body goes through the same
-// decoder as a single-file bundle.
-func loadBundle(arg string, cpu bool) (*flight.Bundle, error) {
+// gets /debug/bundle appended when its path lacks it, and the body goes
+// through the same decoder as a single-file bundle. Each fetch, body
+// included, fails after timeout. When cpu asks for a fresh CPU window,
+// the server answers only after waiting out its profiler's current window
+// and capturing one of its own, and its -prof-window sets that window: a
+// plain fetch reads it first, and the ?cpu=1 fetch gets twice as long
+// again on top of timeout.
+func loadBundle(arg string, cpu bool, timeout time.Duration) (*flight.Bundle, error) {
 	if !strings.HasPrefix(arg, "http://") && !strings.HasPrefix(arg, "https://") {
 		return flight.ReadBundle(arg)
 	}
@@ -147,11 +157,23 @@ func loadBundle(arg string, cpu bool) (*flight.Bundle, error) {
 		target += "/debug/bundle"
 	}
 	if cpu {
+		b, err := fetchBundle(target, timeout)
+		if err != nil {
+			return nil, err
+		}
+		if b.Profiles != nil {
+			timeout += 2 * time.Duration(b.Profiles.WindowNs)
+		}
 		target += "?cpu=1"
 	}
-	resp, err := http.Get(target)
+	return fetchBundle(target, timeout)
+}
+
+// fetchBundle GETs and decodes one bundle, failing after timeout.
+func fetchBundle(target string, timeout time.Duration) (*flight.Bundle, error) {
+	resp, err := (&http.Client{Timeout: timeout}).Get(target)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("diagnose: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -49,7 +51,7 @@ func TestDiagnose(t *testing.T) {
 	}
 	cpuOut := filepath.Join(t.TempDir(), "out.pprof")
 	var report bytes.Buffer
-	if err := diagnose([]string{"-cpu", cpuOut, srv.URL}, &report); err != nil {
+	if err := diagnose([]string{"-cpu", cpuOut, srv.URL}, &report, fetchTimeout); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range append(wants, "INCIDENT REPORT — ON_DEMAND", "breach_cpu") {
@@ -65,12 +67,75 @@ func TestDiagnose(t *testing.T) {
 	}
 
 	report.Reset()
-	if err := diagnose([]string{recorder.Trigger(flight.ReasonPanic)}, &report); err != nil {
+	if err := diagnose([]string{recorder.Trigger(flight.ReasonPanic)}, &report, fetchTimeout); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range append(wants, "INCIDENT REPORT — PANIC") {
 		if !strings.Contains(report.String(), want) {
 			t.Errorf("bundle dir report missing %q:\n%s", want, report.String())
 		}
+	}
+}
+
+// TestDiagnoseTimesOut: a debug listener that accepts the connection and
+// never answers makes diagnose fail once its timeout passes, instead of
+// hanging.
+func TestDiagnoseTimesOut(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		var held []net.Conn // open and unanswered until the test ends
+		defer func() {
+			for _, c := range held {
+				c.Close()
+			}
+		}()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, c)
+		}
+	}()
+
+	start := time.Now()
+	err = diagnose([]string{"http://" + ln.Addr().String()}, io.Discard, 100*time.Millisecond)
+	if err == nil {
+		t.Fatal("diagnose of a server that never answers succeeded")
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("diagnose failed after %v, want about its 100ms timeout", took)
+	}
+}
+
+// TestDiagnoseCPUWaitsOutServerWindow: a -cpu fetch from a server whose
+// CPU window is longer than the fetch timeout still succeeds, because the
+// deadline of the ?cpu=1 fetch covers the window the server reports.
+func TestDiagnoseCPUWaitsOutServerWindow(t *testing.T) {
+	const window = 200 * time.Millisecond
+	sampler := prof.New(prof.Config{
+		WindowSize: window,
+		CaptureCPU: func(d time.Duration) ([]byte, error) {
+			time.Sleep(d)
+			return []byte("cpu-pprof-gz"), nil
+		},
+		Profile: func(string) ([]byte, error) { return nil, nil },
+	})
+	t.Cleanup(sampler.Close)
+	recorder := flight.New(flight.Config{Profiles: sampler})
+	t.Cleanup(recorder.Close)
+	srv := httptest.NewServer(recorder.Handler())
+	t.Cleanup(srv.Close)
+
+	cpuOut := filepath.Join(t.TempDir(), "out.pprof")
+	if err := diagnose([]string{"-cpu", cpuOut, srv.URL + "/debug/bundle"}, io.Discard, window/4); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(cpuOut); err != nil || string(raw) != "cpu-pprof-gz" {
+		t.Fatalf("cpu profile = %q, %v", raw, err)
 	}
 }

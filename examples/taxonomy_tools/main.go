@@ -87,5 +87,5 @@ func analyze(b *bundle.Bundle, engine interface{ Process(*cas.CAS) error }) int 
 	if err := engine.Process(c); err != nil {
 		log.Fatal(err)
 	}
-	return len(c.Select(annotate.TypeConcept))
+	return len(c.Concepts())
 }

@@ -7,10 +7,11 @@ import (
 
 // CasRetain enforces the pipeline's CAS ownership contract: an
 // Engine.Process implementation borrows its *cas.CAS strictly for the
-// duration of the call. The collection runner recycles and dead-letters
-// CASes after Process returns, so a retained reference — in a struct
-// field, a package-level variable, or a goroutine that outlives the call
-// — is a use-after-handoff bug waiting for concurrency to expose it.
+// duration of the call. qatk.Toolkit.FeatureSets resets one CAS for
+// each report it analyses, and the collection runner dead-letters CASes
+// after Process returns, so a retained reference — in a struct field, a
+// package-level variable, or a goroutine that outlives the call — would
+// see the next report's layers, or a CAS another consumer now owns.
 var CasRetain = &Analyzer{
 	Name: "casretain",
 	Doc: "Engine.Process must not retain its *cas.CAS argument (or memory reachable " +

@@ -10,7 +10,6 @@
 package annotate
 
 import (
-	"strconv"
 	"strings"
 
 	"repro/internal/cas"
@@ -19,14 +18,8 @@ import (
 	"repro/internal/trie"
 )
 
-// TypeConcept is the annotation type for taxonomy concept mentions.
-const TypeConcept = "Concept"
-
-// Features of TypeConcept annotations.
-const (
-	FeatConceptID = "concept" // numeric taxonomy concept ID
-	FeatKind      = "kind"    // component / symptom / location / solution
-)
+// TypeConcept names the concept-mention layer the annotators fill.
+const TypeConcept = cas.TypeConcept
 
 // ConceptAnnotator is the optimized trie-based taxonomy annotator.
 type ConceptAnnotator struct {
@@ -85,41 +78,29 @@ func NewConceptAnnotator(t *taxonomy.Taxonomy, opts ...Option) *ConceptAnnotator
 // Name implements pipeline.Engine.
 func (a *ConceptAnnotator) Name() string { return "concept-annotator" }
 
-// Process annotates concept mentions over the Token annotations of the
-// CAS; the Tokenizer engine must have run first. A mention never crosses
-// a report boundary: a match may only extend to the last token of the CAS
-// segment it starts in.
+// Process appends the concept mentions among the CAS's tokens to its
+// concept layer; the Tokenizer engine must have run first. A mention
+// never crosses a report boundary: a match may only extend to the last
+// token of the CAS segment it starts in.
+//
+//qatk:hotpath
 func (a *ConceptAnnotator) Process(c *cas.CAS) error {
-	toks := c.Select(textproc.TypeToken)
-	norms := make([]string, len(toks))
-	for i, t := range toks {
-		// Prefer the SpellNormalizer's corrected form when a normalizer
-		// ran earlier in the pipeline: "electiral" then matches the
-		// taxonomy term "electrical".
-		if fixed := t.Feature(textproc.FeatCorrected); fixed != "" {
-			norms[i] = fixed
-			continue
-		}
-		norms[i] = t.Feature(textproc.FeatNorm)
-	}
+	toks := c.Tokens()
+	segs := c.Segments()
+	form := func(i int) string { return matchForm(&toks[i]) }
 	i, limit := 0, 0 // limit: one past the last token of token i's segment
-	for i < len(norms) {
+	for i < len(toks) {
 		if i >= limit {
-			limit = segmentEnd(c, toks, i)
+			limit, segs = segmentEnd(toks, segs, i)
 		}
-		id, length := a.trie.LongestMatch(norms[:limit], i)
+		id, length := a.trie.LongestMatch(limit, form, i)
 		if length == 0 {
 			i++
 			continue
 		}
-		ann := &cas.Annotation{
-			Type:  TypeConcept,
-			Begin: toks[i].Begin,
-			End:   toks[i+length-1].End,
-		}
-		ann.SetFeature(FeatConceptID, strconv.Itoa(id))
-		ann.SetFeature(FeatKind, string(a.kinds[id]))
-		if err := c.Annotate(ann); err != nil {
+		m := cas.Concept{Begin: toks[i].Begin, End: toks[i+length-1].End, ID: id, Kind: string(a.kinds[id])}
+		//qatk:allowalloc the concept layer grows until it fits the most mentions
+		if err := c.AddConcept(m); err != nil {
 			return err
 		}
 		// Left-bounded greedy: skip past the match, so matches enclosed
@@ -129,36 +110,34 @@ func (a *ConceptAnnotator) Process(c *cas.CAS) error {
 	return nil
 }
 
-// segmentEnd returns one past the index of the last token in the segment
-// that token i starts in; a CAS without segments is one segment.
-func segmentEnd(c *cas.CAS, toks []*cas.Annotation, i int) int {
-	seg, ok := c.SegmentFor(toks[i].Begin)
-	if !ok {
-		return len(toks)
+// matchForm is the form of a token the trie matches: the SpellNormalizer's
+// correction when one ran earlier in the pipeline ("electiral" then
+// matches the taxonomy term "electrical"), otherwise the norm.
+func matchForm(t *cas.Token) string {
+	if t.Corrected != "" {
+		return t.Corrected
 	}
-	j := i + 1
-	for j < len(toks) && toks[j].Begin < seg.End {
-		j++
-	}
-	return j
+	return t.Norm
 }
 
-// ConceptIDs extracts the distinct concept IDs annotated on a CAS, in
-// first-occurrence order.
-func ConceptIDs(c *cas.CAS) []int {
-	var out []int
-	seen := map[int]bool{}
-	for _, a := range c.Select(TypeConcept) {
-		id, err := strconv.Atoi(a.Feature(FeatConceptID))
-		if err != nil {
-			continue
-		}
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
+// segmentEnd returns one past the index of the last token in the segment
+// that token i starts in. segs are the segments not yet passed, and it
+// returns them from token i's segment on, so one walk over the tokens
+// walks the segments once. A token outside every segment, as in a CAS
+// without segments, bounds nothing: the result is then len(toks).
+func segmentEnd(toks []cas.Token, segs []cas.Segment, i int) (int, []cas.Segment) {
+	begin := toks[i].Begin
+	for len(segs) > 0 && segs[0].End <= begin {
+		segs = segs[1:]
 	}
-	return out
+	if len(segs) == 0 || begin < segs[0].Begin {
+		return len(toks), segs
+	}
+	j := i + 1
+	for j < len(toks) && toks[j].Begin < segs[0].End {
+		j++
+	}
+	return j, segs
 }
 
 // LegacyAnnotator reproduces the original closed-source taxonomy
@@ -201,16 +180,13 @@ func (a *LegacyAnnotator) Name() string { return "legacy-concept-annotator" }
 // Process annotates exact, case-sensitive single-token matches only.
 func (a *LegacyAnnotator) Process(c *cas.CAS) error {
 	text := c.Text()
-	for _, t := range c.Select(textproc.TypeToken) {
+	for _, t := range c.Tokens() {
 		surface := text[t.Begin:t.End] // original casing, not the norm
 		e, ok := a.terms[surface]
 		if !ok {
 			continue
 		}
-		ann := &cas.Annotation{Type: TypeConcept, Begin: t.Begin, End: t.End}
-		ann.SetFeature(FeatConceptID, strconv.Itoa(e.id))
-		ann.SetFeature(FeatKind, string(e.kind))
-		if err := c.Annotate(ann); err != nil {
+		if err := c.AddConcept(cas.Concept{Begin: t.Begin, End: t.End, ID: e.id, Kind: string(e.kind)}); err != nil {
 			return err
 		}
 	}

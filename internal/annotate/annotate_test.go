@@ -2,6 +2,7 @@ package annotate
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cas"
@@ -54,11 +55,23 @@ func annotateText(t *testing.T, text string, a interface {
 	return c
 }
 
+// conceptIDs returns the distinct concept IDs of c's concept layer, in
+// first-occurrence order.
+func conceptIDs(c *cas.CAS) []int {
+	var out []int
+	for _, m := range c.Concepts() {
+		if !slices.Contains(out, m.ID) {
+			out = append(out, m.ID)
+		}
+	}
+	return out
+}
+
 func TestConceptAnnotatorBasic(t *testing.T) {
 	tax := sampleTaxonomy(t)
 	a := NewConceptAnnotator(tax)
 	c := annotateText(t, "The fender makes a squeak.", a)
-	ids := ConceptIDs(c)
+	ids := conceptIDs(c)
 	if !reflect.DeepEqual(ids, []int{100, 200}) {
 		t.Fatalf("concepts = %v", ids)
 	}
@@ -70,19 +83,18 @@ func TestConceptAnnotatorMultiwordAndEnclosed(t *testing.T) {
 	// "squeaking noise" must match the multiword (concept 200); the
 	// enclosed single-word "noise" (concept 300) must NOT be reported.
 	c := annotateText(t, "customer reports squeaking noise from the mud guard", a)
-	ids := ConceptIDs(c)
+	ids := conceptIDs(c)
 	if !reflect.DeepEqual(ids, []int{200, 100}) {
 		t.Fatalf("concepts = %v, want [200 100]", ids)
 	}
-	anns := c.Select(TypeConcept)
-	if len(anns) != 2 {
-		t.Fatalf("annotations = %d", len(anns))
+	mentions := c.Concepts()
+	if len(mentions) != 2 {
+		t.Fatalf("mentions = %d", len(mentions))
 	}
-	if c.CoveredText(anns[0]) != "squeaking noise" {
-		t.Fatalf("covered = %q", c.CoveredText(anns[0]))
-	}
-	if c.CoveredText(anns[1]) != "mud guard" {
-		t.Fatalf("covered = %q", c.CoveredText(anns[1]))
+	for i, want := range []string{"squeaking noise", "mud guard"} {
+		if got := c.Text()[mentions[i].Begin:mentions[i].End]; got != want {
+			t.Fatalf("covered = %q, want %q", got, want)
+		}
 	}
 }
 
@@ -102,7 +114,7 @@ func TestConceptAnnotatorStopsAtReportBoundary(t *testing.T) {
 		if err := a.Process(c); err != nil {
 			t.Fatal(err)
 		}
-		return ConceptIDs(c)
+		return conceptIDs(c)
 	}
 	if ids := concepts("customer reports mud", "guard cracked"); len(ids) != 0 {
 		t.Fatalf("split across reports: concepts = %v, want none", ids)
@@ -118,7 +130,7 @@ func TestConceptAnnotatorSynonymCollapse(t *testing.T) {
 	// All three wordings map to the same concept ID (paper example).
 	for _, text := range []string{"mud guard broken", "splashboard broken", "fender broken"} {
 		c := annotateText(t, text, a)
-		ids := ConceptIDs(c)
+		ids := conceptIDs(c)
 		if !reflect.DeepEqual(ids, []int{100}) {
 			t.Fatalf("%q concepts = %v", text, ids)
 		}
@@ -129,7 +141,7 @@ func TestConceptAnnotatorMultilingual(t *testing.T) {
 	tax := sampleTaxonomy(t)
 	a := NewConceptAnnotator(tax)
 	c := annotateText(t, "Lüfter quietschen beim Start, fan squeak on start", a)
-	ids := ConceptIDs(c)
+	ids := conceptIDs(c)
 	if !reflect.DeepEqual(ids, []int{400, 200}) {
 		t.Fatalf("concepts = %v (German and English should collapse)", ids)
 	}
@@ -139,7 +151,7 @@ func TestConceptAnnotatorCaseInsensitive(t *testing.T) {
 	tax := sampleTaxonomy(t)
 	a := NewConceptAnnotator(tax)
 	c := annotateText(t, "FENDER Fender fender", a)
-	if got := len(c.Select(TypeConcept)); got != 3 {
+	if got := len(c.Concepts()); got != 3 {
 		t.Fatalf("mentions = %d, want 3", got)
 	}
 }
@@ -149,13 +161,13 @@ func TestConceptAnnotatorKindFilter(t *testing.T) {
 	// Default: solutions not annotated.
 	a := NewConceptAnnotator(tax)
 	c := annotateText(t, "replace the fender", a)
-	if ids := ConceptIDs(c); !reflect.DeepEqual(ids, []int{100}) {
+	if ids := conceptIDs(c); !reflect.DeepEqual(ids, []int{100}) {
 		t.Fatalf("concepts = %v", ids)
 	}
 	// Explicitly include solutions.
 	all := NewConceptAnnotator(tax, WithKinds(taxonomy.Kinds()...))
 	c2 := annotateText(t, "replace the fender", all)
-	if ids := ConceptIDs(c2); !reflect.DeepEqual(ids, []int{500, 100}) {
+	if ids := conceptIDs(c2); !reflect.DeepEqual(ids, []int{500, 100}) {
 		t.Fatalf("concepts = %v", ids)
 	}
 }
@@ -164,9 +176,9 @@ func TestConceptAnnotatorKindFeature(t *testing.T) {
 	tax := sampleTaxonomy(t)
 	a := NewConceptAnnotator(tax)
 	c := annotateText(t, "fender squeak", a)
-	anns := c.Select(TypeConcept)
-	if anns[0].Feature(FeatKind) != "component" || anns[1].Feature(FeatKind) != "symptom" {
-		t.Fatalf("kinds = %q, %q", anns[0].Feature(FeatKind), anns[1].Feature(FeatKind))
+	mentions := c.Concepts()
+	if mentions[0].Kind != "component" || mentions[1].Kind != "symptom" {
+		t.Fatalf("kinds = %q, %q", mentions[0].Kind, mentions[1].Kind)
 	}
 }
 
@@ -176,32 +188,41 @@ func TestLegacyAnnotatorLimitations(t *testing.T) {
 
 	// Finds the exact lowercase German first synonym.
 	c := annotateText(t, "lüfter defekt", legacy)
-	if ids := ConceptIDs(c); !reflect.DeepEqual(ids, []int{400}) {
+	if ids := conceptIDs(c); !reflect.DeepEqual(ids, []int{400}) {
 		t.Fatalf("concepts = %v", ids)
 	}
 	// Misses capitalized mentions (case-sensitive).
 	c = annotateText(t, "Lüfter defekt", legacy)
-	if ids := ConceptIDs(c); len(ids) != 0 {
+	if ids := conceptIDs(c); len(ids) != 0 {
 		t.Fatalf("capitalized matched: %v", ids)
 	}
 	// Misses English entirely.
 	c = annotateText(t, "fan squeak fender", legacy)
-	if ids := ConceptIDs(c); len(ids) != 0 {
+	if ids := conceptIDs(c); len(ids) != 0 {
 		t.Fatalf("english matched: %v", ids)
 	}
 	// The new annotator finds all of these.
 	a := NewConceptAnnotator(tax)
 	c = annotateText(t, "Lüfter defekt, fan squeak fender", a)
-	if ids := ConceptIDs(c); len(ids) != 3 {
+	if ids := conceptIDs(c); len(ids) != 3 {
 		t.Fatalf("new annotator concepts = %v", ids)
 	}
 }
 
+// TestConceptIDsDeduplicates: the concept layer keeps every mention, so a
+// repeated concept is one ID among the distinct IDs but several mentions.
 func TestConceptIDsDeduplicates(t *testing.T) {
 	tax := sampleTaxonomy(t)
 	a := NewConceptAnnotator(tax)
 	c := annotateText(t, "fender fender squeak fender", a)
-	if ids := ConceptIDs(c); !reflect.DeepEqual(ids, []int{100, 200}) {
+	var mentioned []int
+	for _, m := range c.Concepts() {
+		mentioned = append(mentioned, m.ID)
+	}
+	if !reflect.DeepEqual(mentioned, []int{100, 100, 200, 100}) {
+		t.Fatalf("mentions = %v", mentioned)
+	}
+	if ids := conceptIDs(c); !reflect.DeepEqual(ids, []int{100, 200}) {
 		t.Fatalf("concepts = %v", ids)
 	}
 }

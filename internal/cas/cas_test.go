@@ -1,79 +1,90 @@
 package cas
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
+// TestAnnotateAndSelect: engines annotate by appending to the typed
+// layers, and Select views a layer's spans.
 func TestAnnotateAndSelect(t *testing.T) {
 	c := New("the radio crackles")
-	if err := c.Annotate(&Annotation{Type: "Token", Begin: 0, End: 3}); err != nil {
+	for _, tok := range []Token{{Begin: 0, End: 3, Norm: "the"}, {Begin: 4, End: 9, Norm: "radio"}} {
+		if err := c.AddToken(tok); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.AddConcept(Concept{Begin: 4, End: 9, ID: 7, Kind: "component"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Annotate(&Annotation{Type: "Token", Begin: 4, End: 9}); err != nil {
-		t.Fatal(err)
+	if got := c.Tokens(); len(got) != 2 || got[1].Norm != "radio" {
+		t.Fatalf("tokens = %+v", got)
 	}
-	if err := c.Annotate(&Annotation{Type: "Concept", Begin: 4, End: 9}); err != nil {
-		t.Fatal(err)
+	if got := c.Concepts(); len(got) != 1 || got[0].ID != 7 || got[0].Kind != "component" {
+		t.Fatalf("concepts = %+v", got)
 	}
-	toks := c.Select("Token")
-	if len(toks) != 2 {
-		t.Fatalf("tokens = %d, want 2", len(toks))
+	if got, want := c.Select(TypeToken), []Span{{0, 3}, {4, 9}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Select(Token) = %v, want %v", got, want)
 	}
-	if c.CoveredText(toks[1]) != "radio" {
-		t.Fatalf("covered = %q", c.CoveredText(toks[1]))
+	if got, want := c.Select(TypeConcept), []Span{{4, 9}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Select(Concept) = %v, want %v", got, want)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("len = %d", c.Len())
+	if got := c.Select("Language"); got != nil {
+		t.Fatalf("Select of an unknown layer = %v, want nil", got)
 	}
 }
 
+// TestAnnotateValidation: an append whose span lies outside the text is
+// an error and leaves the layer as it was.
 func TestAnnotateValidation(t *testing.T) {
 	c := New("abc")
-	bad := []*Annotation{
-		nil,
-		{Type: "", Begin: 0, End: 1},
-		{Type: "T", Begin: -1, End: 1},
-		{Type: "T", Begin: 2, End: 1},
-		{Type: "T", Begin: 0, End: 4},
-	}
-	for i, a := range bad {
-		if err := c.Annotate(a); err == nil {
-			t.Errorf("case %d: invalid annotation accepted", i)
+	for i, s := range []Span{{-1, 1}, {2, 1}, {0, 4}} {
+		if err := c.AddToken(Token{Begin: s.Begin, End: s.End}); err == nil {
+			t.Errorf("case %d: token span %v accepted", i, s)
+		}
+		if err := c.AddConcept(Concept{Begin: s.Begin, End: s.End}); err == nil {
+			t.Errorf("case %d: concept span %v accepted", i, s)
 		}
 	}
-	// Zero-width and full-span annotations are legal.
-	if err := c.Annotate(&Annotation{Type: "T", Begin: 1, End: 1}); err != nil {
+	if len(c.Tokens()) != 0 || len(c.Concepts()) != 0 {
+		t.Fatal("a rejected span was appended")
+	}
+	// Zero-width and full-span elements are legal.
+	if err := c.AddToken(Token{Begin: 1, End: 1}); err != nil {
 		t.Errorf("zero-width rejected: %v", err)
 	}
-	if err := c.Annotate(&Annotation{Type: "T", Begin: 0, End: 3}); err != nil {
+	if err := c.AddConcept(Concept{Begin: 0, End: 3}); err != nil {
 		t.Errorf("full-span rejected: %v", err)
 	}
 }
 
+// TestDocumentOrder: a layer holds non-overlapping spans in document
+// order, so an element that begins before the previous one ends is an
+// error, never a reordering.
 func TestDocumentOrder(t *testing.T) {
 	c := New("aaaaaaaaaa")
-	// Insert out of order; enclosing spans must come before enclosed ones.
-	c.MustAnnotate(&Annotation{Type: "T", Begin: 4, End: 6})
-	c.MustAnnotate(&Annotation{Type: "T", Begin: 0, End: 2})
-	c.MustAnnotate(&Annotation{Type: "T", Begin: 0, End: 5})
-	got := c.Select("T")
-	wants := []struct{ b, e int }{{0, 5}, {0, 2}, {4, 6}}
-	for i, w := range wants {
-		if got[i].Begin != w.b || got[i].End != w.e {
-			t.Fatalf("order[%d] = [%d,%d), want [%d,%d)", i, got[i].Begin, got[i].End, w.b, w.e)
-		}
+	if err := c.AddToken(Token{Begin: 4, End: 6}); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestSelectCovered(t *testing.T) {
-	c := New("one two three four")
-	c.MustAnnotate(&Annotation{Type: "Token", Begin: 0, End: 3})
-	c.MustAnnotate(&Annotation{Type: "Token", Begin: 4, End: 7})
-	c.MustAnnotate(&Annotation{Type: "Token", Begin: 8, End: 13})
-	got := c.SelectCovered("Token", 4, 13)
-	if len(got) != 2 {
-		t.Fatalf("covered = %d, want 2", len(got))
+	if err := c.AddToken(Token{Begin: 0, End: 2}); err == nil {
+		t.Error("token before the previous one accepted")
+	}
+	if err := c.AddToken(Token{Begin: 5, End: 8}); err == nil {
+		t.Error("token overlapping the previous one accepted")
+	}
+	if err := c.AddToken(Token{Begin: 6, End: 8}); err != nil {
+		t.Errorf("adjacent token rejected: %v", err)
+	}
+	if err := c.AddConcept(Concept{Begin: 2, End: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddConcept(Concept{Begin: 0, End: 9}); err == nil {
+		t.Error("enclosing concept after an enclosed one accepted")
+	}
+	if got, want := c.Select(TypeToken), []Span{{4, 6}, {6, 8}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("tokens = %v, want %v", got, want)
 	}
 }
 
@@ -92,12 +103,55 @@ func TestSegments(t *testing.T) {
 	if c.Text()[segs[1].Begin:segs[1].End] != "kontakt defekt" {
 		t.Fatalf("segment span wrong: %v", segs[1])
 	}
-	s, ok := c.SegmentFor(segs[1].Begin)
-	if !ok || s.Source != "supplier" {
-		t.Fatalf("SegmentFor = %v, %v", s, ok)
+	if segs[0].Lang != "" || segs[1].Lang != "" {
+		t.Fatalf("languages set before detection: %v", segs)
 	}
-	if _, ok := c.SegmentFor(len(c.Text()) + 5); ok {
-		t.Fatal("SegmentFor out of range succeeded")
+}
+
+// TestOneReportSharesText: a document of one report is that report's
+// text, not a copy of it.
+func TestOneReportSharesText(t *testing.T) {
+	text := "radio dead"
+	c := NewFromSegments([]struct{ Source, Text string }{{"mechanic", text}})
+	if unsafe.StringData(c.Text()) != unsafe.StringData(text) {
+		t.Fatal("one-report document copied its text")
+	}
+	if want := []Segment{{Source: "mechanic", Begin: 0, End: len(text)}}; !reflect.DeepEqual(c.Segments(), want) {
+		t.Fatalf("segments = %v, want %v", c.Segments(), want)
+	}
+}
+
+// TestReset: a reset CAS is the one-report document of its new text,
+// with empty layers and metadata, and its layers keep their capacity.
+func TestReset(t *testing.T) {
+	c := NewFromSegments([]struct{ Source, Text string }{{"mechanic", "radio dead"}, {"supplier", "x"}})
+	c.SetMetadata("part", "P7")
+	c.Segments()[0].Lang = "en"
+	if err := c.AddToken(Token{Begin: 0, End: 5, Norm: "radio"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddConcept(Concept{Begin: 0, End: 5, ID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	tokCap, conceptCap := cap(c.Tokens()), cap(c.Concepts())
+
+	text := "fan"
+	c.Reset("supplier", text)
+	if unsafe.StringData(c.Text()) != unsafe.StringData(text) {
+		t.Fatal("Reset copied the text")
+	}
+	if want := []Segment{{Source: "supplier", Begin: 0, End: 3}}; !reflect.DeepEqual(c.Segments(), want) {
+		t.Fatalf("segments = %v, want %v", c.Segments(), want)
+	}
+	if len(c.Tokens()) != 0 || len(c.Concepts()) != 0 || c.Metadata("part") != "" {
+		t.Fatal("Reset kept analysis results")
+	}
+	if cap(c.Tokens()) != tokCap || cap(c.Concepts()) != conceptCap {
+		t.Fatal("Reset dropped the layers' capacity")
+	}
+	// Spans are checked against the new text.
+	if err := c.AddToken(Token{Begin: 0, End: 5}); err == nil {
+		t.Fatal("token beyond the reset text accepted")
 	}
 }
 
@@ -112,61 +166,38 @@ func TestMetadata(t *testing.T) {
 	}
 }
 
+// TestFeatures: a token's later features are typed fields, unset ("")
+// until an engine sets them in place through the layer.
 func TestFeatures(t *testing.T) {
-	a := &Annotation{Type: "T"}
-	if a.Feature("x") != "" {
-		t.Fatal("unset feature non-empty")
+	c := New("radio")
+	if err := c.AddToken(Token{Begin: 0, End: 5, Norm: "radio"}); err != nil {
+		t.Fatal(err)
 	}
-	a.SetFeature("x", "1")
-	a.SetFeature("y", "2")
-	if a.Feature("x") != "1" || a.Feature("y") != "2" {
-		t.Fatal("features not stored")
+	if tok := c.Tokens()[0]; tok.Corrected != "" || tok.Stem != "" {
+		t.Fatalf("unset features non-empty: %+v", tok)
 	}
-}
-
-func TestRemoveType(t *testing.T) {
-	c := New("abcdef")
-	c.MustAnnotate(&Annotation{Type: "A", Begin: 0, End: 1})
-	c.MustAnnotate(&Annotation{Type: "B", Begin: 1, End: 2})
-	c.MustAnnotate(&Annotation{Type: "A", Begin: 2, End: 3})
-	if n := c.RemoveType("A"); n != 2 {
-		t.Fatalf("removed %d, want 2", n)
-	}
-	if len(c.Select("A")) != 0 || len(c.Select("B")) != 1 {
-		t.Fatal("wrong annotations after removal")
+	toks := c.Tokens()
+	toks[0].Corrected, toks[0].Stem = "radio", "radi"
+	if tok := c.Tokens()[0]; tok.Corrected != "radio" || tok.Stem != "radi" || tok.Norm != "radio" {
+		t.Fatalf("features not stored: %+v", tok)
 	}
 }
 
-// Property: every annotation accepted by Annotate yields a CoveredText that
-// is a substring of the document at the right place.
+// Property: AddToken accepts exactly the spans inside the text, and an
+// accepted span covers the text at the right place.
 func TestCoveredTextProperty(t *testing.T) {
 	f := func(text string, begin, end uint8) bool {
 		c := New(text)
 		b, e := int(begin), int(end)
-		err := c.Annotate(&Annotation{Type: "T", Begin: b, End: e})
-		if err != nil {
-			return true // rejected spans are out of scope
+		err := c.AddToken(Token{Begin: b, End: e})
+		inRange := b <= e && e <= len(text)
+		if err != nil || !inRange {
+			return err != nil && !inRange
 		}
-		covered := c.CoveredText(c.Select("T")[0])
-		return covered == text[b:e]
+		s := c.Select(TypeToken)[0]
+		return text[s.Begin:s.End] == text[b:e]
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSelectOverlapping(t *testing.T) {
-	c := New("0123456789")
-	c.MustAnnotate(&Annotation{Type: "T", Begin: 0, End: 3})
-	c.MustAnnotate(&Annotation{Type: "T", Begin: 2, End: 6})
-	c.MustAnnotate(&Annotation{Type: "T", Begin: 7, End: 9})
-	c.MustAnnotate(&Annotation{Type: "Other", Begin: 2, End: 6})
-	got := c.SelectOverlapping("T", 2, 7)
-	if len(got) != 2 {
-		t.Fatalf("overlapping = %d, want 2", len(got))
-	}
-	// Zero-width probe at a boundary: [3,3) overlaps nothing ending at 3.
-	if got := c.SelectOverlapping("T", 6, 7); len(got) != 0 {
-		t.Fatalf("boundary overlap = %d, want 0", len(got))
 	}
 }

@@ -86,8 +86,8 @@ func (c *Corpus) Stats() CorpusStats {
 		if err := ann.Process(cs); err != nil {
 			continue
 		}
-		totalWords += len(cs.Select(textproc.TypeToken))
-		totalConcepts += len(cs.Select(annotate.TypeConcept))
+		totalWords += len(cs.Tokens())
+		totalConcepts += len(cs.Concepts())
 	}
 	if len(c.Bundles) > 0 {
 		st.AvgWordsPerText = float64(totalWords) / float64(len(c.Bundles))

@@ -9,10 +9,9 @@
 package kb
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 
-	"repro/internal/annotate"
 	"repro/internal/cas"
 	"repro/internal/textproc"
 )
@@ -38,9 +37,9 @@ func (m FeatureModel) String() string {
 }
 
 // Extractor turns an analyzed CAS into a sorted, duplicate-free feature
-// set. For BagOfWords it uses the lowercase forms of all Token annotations
+// set. For BagOfWords it uses the lowercase forms of all tokens
 // (optionally minus stopwords, the §5.2.2 runtime optimization); for
-// BagOfConcepts it uses the numeric IDs of Concept annotations, without
+// BagOfConcepts it uses the numeric IDs of the concept mentions, without
 // distinguishing concept types (§4.3).
 type Extractor struct {
 	Model     FeatureModel
@@ -54,45 +53,53 @@ type Extractor struct {
 	UseStems bool
 }
 
-// Features extracts the feature set of a CAS. The required annotations
-// (Token, and Concept for BagOfConcepts) must already be present.
+// Features extracts the feature set of a CAS. The layers it reads (tokens,
+// and concept mentions for BagOfConcepts) must already be filled.
 func (e *Extractor) Features(c *cas.CAS) []string {
-	switch e.Model {
-	case BagOfConcepts:
-		ids := annotate.ConceptIDs(c)
-		out := make([]string, len(ids))
-		for i, id := range ids {
-			out[i] = strconv.Itoa(id)
-		}
-		sort.Strings(out)
-		return out
-	default: // BagOfWords
-		seen := map[string]bool{}
-		var out []string
-		for _, t := range c.Select(textproc.TypeToken) {
-			w := t.Feature(textproc.FeatNorm)
-			corrected := false
-			if e.UseCorrections {
-				if fixed := t.Feature(textproc.FeatCorrected); fixed != "" {
-					w = fixed
-					corrected = true
-				}
-			}
-			if e.UseStems && !corrected {
-				if stem := t.Feature(textproc.FeatStem); stem != "" {
-					w = stem
-				}
-			}
-			if w == "" || seen[w] {
-				continue
-			}
-			if e.Stopwords != nil && e.Stopwords.Contains(w) {
-				continue
-			}
-			seen[w] = true
-			out = append(out, w)
-		}
-		sort.Strings(out)
-		return out
+	if e.Model == BagOfConcepts {
+		return conceptFeatures(c.Concepts())
 	}
+	toks := c.Tokens()
+	out := make([]string, 0, len(toks))
+	for i := range toks {
+		w := e.word(&toks[i])
+		if w == "" || e.Stopwords != nil && e.Stopwords.Contains(w) {
+			continue
+		}
+		out = append(out, w)
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// word is the bag-of-words form of a token.
+func (e *Extractor) word(t *cas.Token) string {
+	if e.UseCorrections && t.Corrected != "" {
+		return t.Corrected
+	}
+	if e.UseStems && t.Stem != "" {
+		return t.Stem
+	}
+	return t.Norm
+}
+
+// conceptFeatures returns the distinct concept IDs of mentions as
+// strings, sorted as strings.
+func conceptFeatures(mentions []cas.Concept) []string {
+	var buf [64]int // a report's mentions fit; more spill to the heap
+	ids := buf[:0]
+	for _, m := range mentions {
+		ids = append(ids, m.ID)
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = strconv.Itoa(id)
+	}
+	slices.Sort(out)
+	return out
 }

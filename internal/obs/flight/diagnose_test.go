@@ -270,6 +270,35 @@ func TestWriteReportRendersRequests(t *testing.T) {
 	}
 }
 
+// TestWriteReportRendersReplicaServing: an answer a stale read replica
+// served says so in its outcome flags, and the attempt the replica
+// served names it, so it does not read like a primary's answer.
+func TestWriteReportRendersReplicaServing(t *testing.T) {
+	ev := reqlog.Event{
+		TraceID: "00000000000000aa", Method: "GET", Route: "/api/recommend",
+		Status: 200, Duration: 31 * time.Millisecond, Reasons: []string{"slow"},
+		Hedged: true, Replica: true, Stale: true,
+		Shards: []reqlog.ShardAttempt{
+			{Shard: 1, Attempt: 1, Duration: 30 * time.Millisecond, Err: "context canceled"},
+			{Shard: 1, Attempt: 2, Hedged: true, Winner: true, Replica: "shard1-r0", Duration: 2 * time.Millisecond},
+		},
+	}
+	var report bytes.Buffer
+	if err := WriteReport(&report, &Bundle{Requests: []reqlog.Event{ev}}, false); err != nil {
+		t.Fatal(err)
+	}
+	out := report.String()
+	for _, want := range []string{
+		"    outcome hedged replica stale",
+		"    shard 1 primary 30ms err=context canceled",
+		"    shard 1 replica=shard1-r0 2ms winner",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // FuzzDecodeBundle feeds arbitrary bytes to the single-document reader
 // — a /debug/bundle response or a bundle file is outside input to
 // `qatk diagnose` — and renders whatever it accepts, plain and verbose.

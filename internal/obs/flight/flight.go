@@ -170,6 +170,12 @@ type Recorder struct {
 	sloStart  time.Time
 	sloStreak int
 
+	// writeMu runs the triggers that pass the rate limit one at a time:
+	// capture, profile freeze, bundle write and pruning. So a prune never
+	// removes a bundle that another trigger is still writing, and lastDir
+	// follows capture order. It is taken before mu, and only by Trigger.
+	writeMu sync.Mutex
+
 	mu          sync.Mutex
 	metricHist  []MetricCapture
 	guards      map[*Guard]struct{}
@@ -620,28 +626,42 @@ func readMemStats() MemSummary {
 // configured, prunes retention, and logs the incident. It returns the
 // bundle directory ("" when persistence is disabled or the trigger was
 // suppressed).
+//
+// r.mu covers the rate-limit decision, the capture and lastDir only.
+// Freezing the profiler (a fresh CPU window for breach reasons), writing
+// the bundle and pruning run under r.writeMu alone, so the watchdog's
+// Tick, Guard and Guard.Stop, WatchReplicaLag and the /debug/bundle view
+// do not wait behind a CPU window and a disk write. A suppressed trigger
+// returns without taking r.writeMu.
 func (r *Recorder) Trigger(reason string, details ...obs.Label) string {
 	if r == nil {
 		return ""
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	now := r.clock()
 	if !r.lastAuto.IsZero() && now.Sub(r.lastAuto) < r.cfg.MinInterval {
+		r.mu.Unlock()
 		r.suppressed.Inc()
 		r.log.Info("flight trigger suppressed by rate limit",
 			append([]obs.Label{obs.L("reason", reason)}, details...)...)
 		return ""
 	}
 	r.lastAuto = now
+	r.mu.Unlock()
+
+	r.writeMu.Lock()
+	defer r.writeMu.Unlock()
+	r.mu.Lock()
 	b := r.captureLocked(reason, details, true)
+	r.mu.Unlock()
 	b.Profiles = r.cfg.Profiles.Freeze(breachCPUReasons[reason])
-	return r.writeLocked(b)
+	return r.write(b)
 }
 
-// writeLocked persists a bundle (when Dir is set), prunes retention,
-// counts, and logs. Caller holds r.mu.
-func (r *Recorder) writeLocked(b *Bundle) string {
+// write persists a bundle (when Dir is set), prunes retention, counts,
+// and logs. Caller holds r.writeMu; write takes r.mu only to record the
+// directory.
+func (r *Recorder) write(b *Bundle) string {
 	r.bundlesByReason(b.Reason).Inc()
 	if r.cfg.Dir == "" {
 		r.log.Error("flight trigger fired (no flight dir, bundle not persisted)",
@@ -654,16 +674,18 @@ func (r *Recorder) writeLocked(b *Bundle) string {
 			obs.L("reason", b.Reason), obs.L("err", err.Error()))
 		return ""
 	}
+	r.prune()
+	r.mu.Lock()
 	r.lastDir = dir
-	r.pruneLocked()
+	r.mu.Unlock()
 	r.log.Error("diagnostic bundle captured",
 		obs.L("reason", b.Reason), obs.L("dir", dir))
 	return dir
 }
 
-// pruneLocked enforces MaxBundles retention, deleting the oldest bundle
-// directories first (names sort chronologically). Caller holds r.mu.
-func (r *Recorder) pruneLocked() {
+// prune enforces MaxBundles retention, deleting the oldest bundle
+// directories first (names sort chronologically). Caller holds r.writeMu.
+func (r *Recorder) prune() {
 	entries, err := os.ReadDir(r.cfg.Dir)
 	if err != nil {
 		return

@@ -164,3 +164,106 @@ func TestOnDemandCaptureFreezesRingWithoutBreachCPU(t *testing.T) {
 		t.Fatalf("on-demand capture took a breach CPU window: %q", b.Profiles.BreachCPU)
 	}
 }
+
+// TestTriggerCapturesCPUOutsideLock: while an slo_breach trigger waits in
+// its breach-window CPU capture, the recorder's lock is free, so Guard,
+// Guard.Stop and the watchdog's Tick return; the trigger then writes its
+// bundle with the capture.
+func TestTriggerCapturesCPUOutsideLock(t *testing.T) {
+	capturing := make(chan struct{})
+	release := make(chan struct{})
+	sampler := prof.New(prof.Config{
+		Ring:     4,
+		Registry: obs.NewRegistry(),
+		Logger:   obs.NewLogger(io.Discard, obs.LevelError),
+		CaptureCPU: func(time.Duration) ([]byte, error) {
+			close(capturing)
+			<-release
+			return []byte("breach-window-cpu"), nil
+		},
+		Profile: func(string) ([]byte, error) { return nil, nil },
+	})
+	t.Cleanup(sampler.Close)
+	r, clock, _, dir := newTestRecorder(t, func(c *Config) { c.Profiles = sampler })
+
+	written := make(chan string)
+	go func() { written <- r.Trigger(ReasonSLOBreach) }()
+	<-capturing
+
+	returned := make(chan struct{})
+	go func() {
+		g := r.Guard("eval")
+		g.Stop()
+		r.Tick(clock.Now())
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		close(release)
+		<-written
+		t.Fatal("Guard, Guard.Stop and Tick blocked behind the trigger's CPU capture")
+	}
+	close(release)
+
+	got := <-written
+	if got == "" || r.LastBundleDir() != got {
+		t.Fatalf("trigger wrote %q, last bundle dir %q", got, r.LastBundleDir())
+	}
+	b, err := ReadBundle(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Profiles == nil || string(b.Profiles.BreachCPU) != "breach-window-cpu" {
+		t.Fatalf("bundle profiles = %+v, want the breach-window capture", b.Profiles)
+	}
+	if bundles := listBundles(t, dir); len(bundles) != 1 {
+		t.Fatalf("bundles = %v, want one", bundles)
+	}
+}
+
+// TestConcurrentTriggersWriteOneAtATime: a trigger fired while another
+// waits in its breach-window CPU capture writes only after the first has
+// written, so with one bundle retained its prune removes the older bundle,
+// not the one it left behind, and LastBundleDir names the bundle that
+// survives.
+func TestConcurrentTriggersWriteOneAtATime(t *testing.T) {
+	capturing := make(chan struct{})
+	release := make(chan struct{})
+	sampler := prof.New(prof.Config{
+		Ring:     4,
+		Registry: obs.NewRegistry(),
+		Logger:   obs.NewLogger(io.Discard, obs.LevelError),
+		CaptureCPU: func(time.Duration) ([]byte, error) {
+			close(capturing)
+			<-release
+			return []byte("breach-window-cpu"), nil
+		},
+		Profile: func(string) ([]byte, error) { return nil, nil },
+	})
+	t.Cleanup(sampler.Close)
+	r, clock, _, dir := newTestRecorder(t, func(c *Config) {
+		c.Profiles = sampler
+		c.MaxBundles = 1
+	})
+
+	first := make(chan string)
+	go func() { first <- r.Trigger(ReasonSLOBreach) }()
+	<-capturing
+	clock.Advance(time.Second)
+	second := make(chan string)
+	go func() { second <- r.Trigger(ReasonPanic) }()
+	// Not needed to pass: time for a second trigger that did not wait for
+	// the first to write and prune before it.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	<-first
+	newest := <-second
+
+	if newest == "" || r.LastBundleDir() != newest {
+		t.Fatalf("second trigger wrote %q, last bundle dir %q", newest, r.LastBundleDir())
+	}
+	if bundles := listBundles(t, dir); len(bundles) != 1 || filepath.Join(dir, bundles[0]) != newest {
+		t.Fatalf("bundles = %v, want only %s", bundles, newest)
+	}
+}

@@ -177,6 +177,12 @@ func (p *printer) event(ev reqlog.Event) {
 	if ev.Hedged {
 		flags = append(flags, "hedged")
 	}
+	if ev.Replica {
+		flags = append(flags, "replica")
+	}
+	if ev.Stale {
+		flags = append(flags, "stale")
+	}
 	if len(ev.FailedShards) > 0 {
 		flags = append(flags, "failed_shards="+intList(ev.FailedShards))
 	}
@@ -203,6 +209,9 @@ func (p *printer) event(ev reqlog.Event) {
 		}
 		if a.Attempt == 0 {
 			role = "rejected"
+		}
+		if a.Replica != "" {
+			role = "replica=" + a.Replica
 		}
 		line := fmt.Sprintf("    shard %d %s %s", a.Shard, role, fmtDur(a.Duration))
 		if a.Winner {

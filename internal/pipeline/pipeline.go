@@ -1,6 +1,6 @@
 // Package pipeline composes analysis engines into the modular linguistic
 // processing pipelines of the QATK (paper §4.4, Fig. 8). Engines receive a
-// CAS, add annotations or metadata, and pass it on; collection processing
+// CAS, fill its layers or metadata, and pass it on; collection processing
 // streams CASes from a reader through the engines into a consumer. The
 // classification step is an ordinary engine, realizing the extension point
 // where different classification algorithms can be plugged in (§4.4).

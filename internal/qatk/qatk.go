@@ -128,34 +128,45 @@ func (t *Toolkit) Features(b *bundle.Bundle, sources []bundle.Source) ([]string,
 }
 
 // FeatureSets extracts the feature sets of several source sets of one
-// bundle, analysing each distinct report the sets name once, as a CAS of
-// its own. A set's features are the sorted, duplicate-free union of its
-// reports' features, allocated at exact length because a cross-validation
-// holds one per bundle; a set naming no present report has none. The union equals Features of the same sources because
-// no engine looks across a report boundary: tokens cannot span the "\n"
+// bundle, analysing each distinct report the sets name once, as a
+// one-report document. A set's features are the sorted, duplicate-free
+// union of its reports' features, allocated at exact length because a
+// cross-validation holds one per bundle; a set naming no present report
+// has none. The union equals Features of the same sources because no
+// engine looks across a report boundary: tokens cannot span the "\n"
 // that joins reports, the detector and stemmer work per segment, spelling
 // correction and extraction per token, and concept matches end at the
-// segment boundary. FeatureSets keeps nothing between calls.
+// segment boundary.
+//
+// One CAS serves every report of the call: each report resets it, which
+// keeps its layers' capacity and shares the report's text. Nothing of it
+// outlives the call.
 func (t *Toolkit) FeatureSets(b *bundle.Bundle, sets ...[]bundle.Source) ([][]string, error) {
-	reports := map[bundle.Source][]string{} // features of each present report named
+	var buf [8]report // a bundle has at most one report per source
+	reports := buf[:0]
+	c := new(cas.CAS)
 	for _, set := range sets {
 		for _, s := range set {
-			if _, done := reports[s]; done || b.ReportText(s) == "" {
+			text := b.ReportText(s)
+			if _, done := featuresOf(reports, s); done || text == "" {
 				continue
 			}
-			f, err := t.Analyze(b.CAS(s))
+			c.Reset(string(s), text)
+			f, err := t.Analyze(c)
 			if err != nil {
 				return nil, fmt.Errorf("qatk: %s report: %w", s, err)
 			}
-			reports[s] = f
+			reports = append(reports, report{s, f})
 		}
 	}
 	out := make([][]string, len(sets))
-	var parts [][]string
+	var partsBuf [8][]string
 	for i, set := range sets {
-		parts = parts[:0]
+		parts := partsBuf[:0]
 		for _, s := range set {
-			parts = append(parts, reports[s])
+			if f, ok := featuresOf(reports, s); ok {
+				parts = append(parts, f)
+			}
 		}
 		out[i] = make([]string, mergeSorted(parts, nil))
 		mergeSorted(parts, out[i])
@@ -163,10 +174,31 @@ func (t *Toolkit) FeatureSets(b *bundle.Bundle, sets ...[]bundle.Source) ([][]st
 	return out, nil
 }
 
+// report is the features of one analysed report.
+type report struct {
+	source   bundle.Source
+	features []string
+}
+
+// featuresOf returns the features of the report from source s, if one
+// was analysed.
+func featuresOf(reports []report, s bundle.Source) ([]string, bool) {
+	for _, r := range reports {
+		if r.source == s {
+			return r.features, true
+		}
+	}
+	return nil, false
+}
+
 // mergeSorted walks the union of sorted, duplicate-free sets in order,
 // storing it into out unless out is nil, and returns its length.
 func mergeSorted(sets [][]string, out []string) int {
-	next := make([]int, len(sets))
+	var buf [8]int // a cursor per set; more sets spill to the heap
+	next := buf[:0]
+	for range sets {
+		next = append(next, 0)
+	}
 	n := 0
 	for {
 		least, found := "", false

@@ -187,3 +187,24 @@ func TestTaxonomyVocabulary(t *testing.T) {
 		t.Fatal("vocabulary missing stopwords")
 	}
 }
+
+// TestFeatureSetsAllocs pins the analysis path's allocations: a warm
+// bag-of-concepts FeatureSets call over the first small-corpus bundle's
+// training and test sets made 690 allocations when every token and
+// mention was a heap annotation with its own feature map, and 62 with
+// typed layers in one reused CAS. What remains is the CAS and its
+// layers' growth, the lowered norms of capitalised tokens, the per-report
+// feature strings and the two sets returned.
+func TestFeatureSetsAllocs(t *testing.T) {
+	c := corpus(t)
+	tk := New(c.Taxonomy)
+	b := c.Bundles[0]
+	const bound = 75
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := tk.FeatureSets(b, bundle.TrainingSources(), bundle.TestSources()); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > bound {
+		t.Fatalf("warm FeatureSets call: %.0f allocations, want at most %d", allocs, bound)
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/annotate"
 	"repro/internal/bundle"
 	"repro/internal/qatk"
 	"repro/internal/taxonomy"
@@ -71,19 +70,19 @@ func Mine(tax *taxonomy.Taxonomy, bundles []*bundle.Bundle, cfg Config) ([]Propo
 		if _, err := tk.Analyze(c); err != nil {
 			return nil, err
 		}
-		// Byte ranges covered by concept annotations.
+		// Byte ranges covered by concept mentions.
 		covered := make([]bool, len(c.Text()))
-		for _, a := range c.Select(annotate.TypeConcept) {
-			for i := a.Begin; i < a.End; i++ {
+		for _, m := range c.Concepts() {
+			for i := m.Begin; i < m.End; i++ {
 				covered[i] = true
 			}
 		}
 		seen := map[string]bool{}
-		for _, t := range c.Select(textproc.TypeToken) {
+		for _, t := range c.Tokens() {
 			if covered[t.Begin] {
 				continue // the taxonomy already knows this mention
 			}
-			w := t.Feature(textproc.FeatNorm)
+			w := t.Norm
 			if len(w) < cfg.MinTermLength || stop.Contains(w) || seen[w] {
 				continue
 			}

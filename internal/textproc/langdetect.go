@@ -11,15 +11,6 @@ const (
 	LangUnknown = "unk"
 )
 
-// MetaLanguage is the CAS metadata key set by the detector.
-const MetaLanguage = "lang"
-
-// TypeLanguage is the annotation type covering each detected segment.
-const TypeLanguage = "Language"
-
-// FeatLang is the language feature of TypeLanguage annotations.
-const FeatLang = "lang"
-
 var (
 	markersDE = buildMarkerSet(stopwordsDE, []string{
 		"nicht", "defekt", "funktioniert", "beim", "wurde", "ausgetauscht",
@@ -68,34 +59,28 @@ func DetectLanguage(tokens []string) string {
 }
 
 // LanguageDetector is a pipeline engine. It requires the Tokenizer to have
-// run, sets MetaLanguage on the CAS to the document-level guess, and adds
-// one TypeLanguage annotation per source segment with the per-segment
-// guess, so later engines can treat a German supplier report differently
+// run and sets each source segment's Lang to the guess for that segment's
+// tokens, so later engines can treat a German supplier report differently
 // from an English mechanic report within the same bundle.
 type LanguageDetector struct{}
 
 // Name implements pipeline.Engine.
 func (LanguageDetector) Name() string { return "language-detector" }
 
-// Process detects document and segment languages.
+// Process detects the language of every segment.
 func (LanguageDetector) Process(c *cas.CAS) error {
-	tokens := c.Select(TypeToken)
-	var all []string
-	for _, t := range tokens {
-		all = append(all, t.Feature(FeatNorm))
-	}
-	c.SetMetadata(MetaLanguage, DetectLanguage(all))
-
-	for _, seg := range c.Segments() {
-		var segTokens []string
-		for _, t := range c.SelectCovered(TypeToken, seg.Begin, seg.End) {
-			segTokens = append(segTokens, t.Feature(FeatNorm))
+	toks, segs := c.Tokens(), c.Segments()
+	var norms []string
+	for i := range segs {
+		seg := &segs[i]
+		norms = norms[:0]
+		for len(toks) > 0 && toks[0].Begin < seg.End {
+			if toks[0].Begin >= seg.Begin {
+				norms = append(norms, toks[0].Norm)
+			}
+			toks = toks[1:]
 		}
-		a := &cas.Annotation{Type: TypeLanguage, Begin: seg.Begin, End: seg.End}
-		a.SetFeature(FeatLang, DetectLanguage(segTokens))
-		if err := c.Annotate(a); err != nil {
-			return err
-		}
+		seg.Lang = DetectLanguage(norms)
 	}
 	return nil
 }

@@ -11,11 +11,6 @@ import (
 // setting that fixes "taht"→"that" and "electiral"→"electrical" without
 // touching legitimate unknown domain terms.
 
-// FeatCorrected is set on tokens whose norm was corrected (value: the
-// corrected form; the original stays in FeatNorm untouched so downstream
-// consumers opt in).
-const FeatCorrected = "corrected"
-
 // Vocabulary is a set of trusted lowercase word forms.
 type Vocabulary map[string]bool
 
@@ -90,14 +85,16 @@ type SpellNormalizer struct {
 // Name implements pipeline.Engine.
 func (SpellNormalizer) Name() string { return "spell-normalizer" }
 
-// Process annotates corrected forms.
+// Process sets the Corrected form of every token it corrects; the Norm
+// stays untouched, so downstream consumers opt in.
 func (n SpellNormalizer) Process(c *cas.CAS) error {
 	if n.Vocab == nil {
 		return nil
 	}
-	for _, t := range c.Select(TypeToken) {
-		if fixed := n.Vocab.Correct(t.Feature(FeatNorm)); fixed != "" {
-			t.SetFeature(FeatCorrected, fixed)
+	toks := c.Tokens()
+	for i := range toks {
+		if fixed := n.Vocab.Correct(toks[i].Norm); fixed != "" {
+			toks[i].Corrected = fixed
 		}
 	}
 	return nil

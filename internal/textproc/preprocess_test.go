@@ -78,8 +78,8 @@ func TestStemmerEngine(t *testing.T) {
 		}
 	}
 	stems := map[string]string{}
-	for _, tok := range c.Select(TypeToken) {
-		stems[tok.Feature(FeatNorm)] = tok.Feature(FeatStem)
+	for _, tok := range c.Tokens() {
+		stems[tok.Norm] = tok.Stem
 	}
 	if stems["crackles"] != "crackle" {
 		t.Errorf("crackles stemmed to %q", stems["crackles"])
@@ -124,9 +124,9 @@ func TestSpellNormalizerEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fixed []string
-	for _, tok := range c.Select(TypeToken) {
-		if f := tok.Feature(FeatCorrected); f != "" {
-			fixed = append(fixed, f)
+	for _, tok := range c.Tokens() {
+		if tok.Corrected != "" {
+			fixed = append(fixed, tok.Corrected)
 		}
 	}
 	want := []string{"that", "crackling"}
@@ -135,48 +135,9 @@ func TestSpellNormalizerEngine(t *testing.T) {
 	}
 }
 
-func TestSplitCompound(t *testing.T) {
-	v := NewVocabulary([]string{"kotflügel", "halter", "brems", "scheibe", "motor"})
-	cases := map[string][]string{
-		"kotflügelhalter":  {"kotflügel", "halter"},
-		"bremsscheibe":     {"brems", "scheibe"},
-		"kotflügelshalter": {"kotflügel", "halter"}, // linking "s"
-		"motor":            nil,                     // known word
-		"kurz":             nil,                     // too short
-		"unbekannteswort":  nil,                     // no decomposition
-	}
-	for in, want := range cases {
-		if got := SplitCompound(in, v); !reflect.DeepEqual(got, want) {
-			t.Errorf("SplitCompound(%q) = %v, want %v", in, got, want)
-		}
-	}
-}
-
-func TestCompoundSplitterEngine(t *testing.T) {
-	v := NewVocabulary([]string{"kotflügel", "halter"})
-	c := cas.New("der kotflügelhalter ist defekt")
-	if err := (Tokenizer{}).Process(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := (CompoundSplitter{Vocab: v}).Process(c); err != nil {
-		t.Fatal(err)
-	}
-	parts := c.Select(TypeCompoundPart)
-	if len(parts) != 2 {
-		t.Fatalf("compound parts = %d, want 2", len(parts))
-	}
-	if parts[0].Feature(FeatPart) != "kotflügel" || parts[1].Feature(FeatPart) != "halter" {
-		t.Fatalf("parts = %q, %q", parts[0].Feature(FeatPart), parts[1].Feature(FeatPart))
-	}
-	// Both cover the compound token's span.
-	if c.CoveredText(parts[0]) != "kotflügelhalter" {
-		t.Fatalf("covered = %q", c.CoveredText(parts[0]))
-	}
-}
-
 func TestEnginesAreNamed(t *testing.T) {
 	for _, e := range []interface{ Name() string }{
-		Stemmer{}, SpellNormalizer{}, CompoundSplitter{},
+		Stemmer{}, SpellNormalizer{},
 	} {
 		if e.Name() == "" {
 			t.Error("engine without name")

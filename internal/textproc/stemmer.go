@@ -8,15 +8,12 @@ import (
 
 // Light suffix-stripping stemmers for German and English — the "more
 // linguistic preprocessing" the paper schedules as future work (§6),
-// designed for the pipeline's modularity: the Stemmer engine adds a "stem"
-// feature to tokens, and feature extractors may choose to use it. The
+// designed for the pipeline's modularity: the Stemmer engine sets each
+// token's Stem, and feature extractors may choose to use it. The
 // rules follow the first steps of the classic Porter (English) and
 // CISTEM-style (German) algorithms: aggressive enough to conflate
 // inflection ("crackles"/"crackling", "quietscht"/"quietschen"), cheap and
 // language-conditioned but with safe fallbacks for unknown languages.
-
-// FeatStem is the token feature carrying the stem.
-const FeatStem = "stem"
 
 // StemEnglish strips common English inflectional suffixes.
 func StemEnglish(w string) string {
@@ -101,10 +98,10 @@ func Stem(w, lang string) string {
 	}
 }
 
-// Stemmer is a pipeline engine that adds the FeatStem feature to every
-// token, using the segment language detected by the LanguageDetector
-// (which must run earlier in the pipeline). Tokens in segments without a
-// detected language keep their norm as stem.
+// Stemmer is a pipeline engine that sets the Stem of every token, using
+// the segment language detected by the LanguageDetector (which must run
+// earlier in the pipeline). Tokens in segments without a detected
+// language keep their norm as stem.
 type Stemmer struct{}
 
 // Name implements pipeline.Engine.
@@ -112,17 +109,18 @@ func (Stemmer) Name() string { return "stemmer" }
 
 // Process stems every token according to its segment language.
 func (Stemmer) Process(c *cas.CAS) error {
-	// Map each language annotation onto the tokens it covers.
-	langs := c.Select(TypeLanguage)
-	for _, t := range c.Select(TypeToken) {
-		lang := LangUnknown
-		for _, l := range langs {
-			if t.Begin >= l.Begin && t.End <= l.End {
-				lang = l.Feature(FeatLang)
-				break
-			}
+	segs := c.Segments()
+	toks := c.Tokens()
+	for i := range toks {
+		t := &toks[i]
+		for len(segs) > 0 && segs[0].End < t.End {
+			segs = segs[1:]
 		}
-		t.SetFeature(FeatStem, Stem(t.Feature(FeatNorm), lang))
+		lang := LangUnknown
+		if len(segs) > 0 && t.Begin >= segs[0].Begin && segs[0].Lang != "" {
+			lang = segs[0].Lang
+		}
+		t.Stem = Stem(t.Norm, lang)
 	}
 	return nil
 }

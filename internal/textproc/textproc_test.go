@@ -50,11 +50,21 @@ func TestTokensNumbers(t *testing.T) {
 	}
 }
 
-// Property: every span returned by TokenSpans is in range, non-empty,
+// tokenLayer runs the tokenizer over text and returns its token layer.
+func tokenLayer(t *testing.T, text string) []cas.Token {
+	t.Helper()
+	c := cas.New(text)
+	if err := (Tokenizer{}).Process(c); err != nil {
+		t.Fatalf("tokenize %q: %v", text, err)
+	}
+	return c.Tokens()
+}
+
+// Property: every token the tokenizer appends is in range, non-empty,
 // non-overlapping and in document order.
 func TestTokenSpansProperty(t *testing.T) {
 	f := func(text string) bool {
-		spans := TokenSpans(text)
+		spans := tokenLayer(t, text)
 		prevEnd := 0
 		for _, s := range spans {
 			if s.Begin < prevEnd || s.End <= s.Begin || s.End > len(text) {
@@ -73,7 +83,7 @@ func TestTokenSpansProperty(t *testing.T) {
 // runes of the text (no token material is lost by the tokenizer).
 func TestTokenSpansCoverWordRunes(t *testing.T) {
 	f := func(text string) bool {
-		spans := TokenSpans(text)
+		spans := tokenLayer(t, text)
 		var b strings.Builder
 		for _, s := range spans {
 			b.WriteString(text[s.Begin:s.End])
@@ -96,15 +106,15 @@ func TestTokenizerEngine(t *testing.T) {
 	if err := (Tokenizer{}).Process(c); err != nil {
 		t.Fatal(err)
 	}
-	toks := c.Select(TypeToken)
+	toks := c.Tokens()
 	if len(toks) != 4 {
 		t.Fatalf("tokens = %d, want 4", len(toks))
 	}
-	if toks[2].Feature(FeatNorm) != "lüfter" {
-		t.Fatalf("norm = %q", toks[2].Feature(FeatNorm))
+	if toks[2].Norm != "lüfter" {
+		t.Fatalf("norm = %q", toks[2].Norm)
 	}
-	if c.CoveredText(toks[1]) != "non-functional" {
-		t.Fatalf("covered = %q", c.CoveredText(toks[1]))
+	if got := c.Text()[toks[1].Begin:toks[1].End]; got != "non-functional" {
+		t.Fatalf("covered = %q", got)
 	}
 }
 
@@ -136,18 +146,15 @@ func TestLanguageDetectorEngine(t *testing.T) {
 	if err := (LanguageDetector{}).Process(c); err != nil {
 		t.Fatal(err)
 	}
-	langs := c.Select(TypeLanguage)
-	if len(langs) != 2 {
-		t.Fatalf("language annotations = %d, want 2", len(langs))
+	segs := c.Segments()
+	if len(segs) != 2 {
+		t.Fatalf("segments = %d, want 2", len(segs))
 	}
-	if langs[0].Feature(FeatLang) != LangEnglish {
-		t.Errorf("mechanic segment lang = %q, want en", langs[0].Feature(FeatLang))
+	if segs[0].Lang != LangEnglish {
+		t.Errorf("mechanic segment lang = %q, want en", segs[0].Lang)
 	}
-	if langs[1].Feature(FeatLang) != LangGerman {
-		t.Errorf("supplier segment lang = %q, want de", langs[1].Feature(FeatLang))
-	}
-	if got := c.Metadata(MetaLanguage); got != LangEnglish && got != LangGerman {
-		t.Errorf("document lang = %q", got)
+	if segs[1].Lang != LangGerman {
+		t.Errorf("supplier segment lang = %q, want de", segs[1].Lang)
 	}
 }
 

@@ -13,81 +13,76 @@ import (
 	"repro/internal/cas"
 )
 
-// TypeToken is the annotation type produced by the tokenizer.
-const TypeToken = "Token"
-
-// FeatNorm is the token feature holding the lowercased form.
-const FeatNorm = "norm"
-
-// Span is a half-open byte range [Begin, End) in a document text.
-type Span struct {
-	Begin, End int
-}
+// TypeToken names the token layer the tokenizer fills.
+const TypeToken = cas.TypeToken
 
 // Tokenizer is a pipeline engine that segments the document text into word
 // tokens at whitespace and punctuation, without further normalization
-// beyond lowercasing the "norm" feature (the paper works on whitespace- and
+// beyond lowercasing each token's Norm (the paper works on whitespace- and
 // punctuation-tokenized text without stemming, §5.1).
 type Tokenizer struct{}
 
 // Name implements pipeline.Engine.
 func (Tokenizer) Name() string { return "tokenizer" }
 
-// Process annotates every token with TypeToken.
+// Process appends every token of the document to the token layer.
+//
+//qatk:hotpath
 func (Tokenizer) Process(c *cas.CAS) error {
 	text := c.Text()
-	for _, s := range TokenSpans(text) {
-		a := &cas.Annotation{Type: TypeToken, Begin: s.Begin, End: s.End}
-		a.SetFeature(FeatNorm, strings.ToLower(text[s.Begin:s.End]))
-		if err := c.Annotate(a); err != nil {
+	for begin, end := nextToken(text, 0); begin < end; begin, end = nextToken(text, end) {
+		//qatk:allowalloc lowering a token that is not lowercase ASCII allocates its norm
+		norm := strings.ToLower(text[begin:end])
+		//qatk:allowalloc the token layer grows until it fits the longest document
+		if err := c.AddToken(cas.Token{Begin: begin, End: end, Norm: norm}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// TokenSpans returns the byte spans of all tokens in text, in document
-// order. A token is a maximal run of letters and digits, where a single
-// hyphen or apostrophe between word runes stays inside the token
-// ("o-ring", "don't") — the behaviour of the custom tokenizer of §4.5.2.
-func TokenSpans(text string) []Span {
-	var spans []Span
-	i := 0
+// nextToken returns the span of the first token at or after byte i of
+// text, or an empty span when there is none. A token is a maximal run of
+// letters and digits, where a single hyphen or apostrophe between word
+// runes stays inside the token ("o-ring", "don't") — the behaviour of the
+// custom tokenizer of §4.5.2.
+func nextToken(text string, i int) (begin, end int) {
 	for i < len(text) {
-		r, size := utf8.DecodeRuneInString(text[i:])
-		if !isWordRune(r) {
+		word, size := wordAt(text, i)
+		if word {
+			break
+		}
+		i += size
+	}
+	begin = i
+	for i < len(text) {
+		if word, size := wordAt(text, i); word {
 			i += size
 			continue
 		}
-		begin := i
-		j := i + size
-		for j < len(text) {
-			r, size := utf8.DecodeRuneInString(text[j:])
-			if isWordRune(r) {
-				j += size
+		if c := text[i]; c == '-' || c == '\'' {
+			if word, size := wordAt(text, i+1); word {
+				i += 1 + size
 				continue
 			}
-			if r == '-' || r == '\'' {
-				r2, size2 := utf8.DecodeRuneInString(text[j+size:])
-				if isWordRune(r2) {
-					j += size + size2
-					continue
-				}
-			}
-			break
 		}
-		spans = append(spans, Span{begin, j})
-		i = j
+		break
 	}
-	return spans
+	return begin, i
+}
+
+// wordAt reports whether text[i:] starts with a word rune, and that
+// rune's size; at the end of text it reports false.
+func wordAt(text string, i int) (bool, int) {
+	r, size := utf8.DecodeRuneInString(text[i:])
+	return isWordRune(r), size
 }
 
 // Tokens returns the lowercased token strings of text in document order.
 func Tokens(text string) []string {
-	spans := TokenSpans(text)
-	out := make([]string, len(spans))
-	for i, s := range spans {
-		out[i] = strings.ToLower(text[s.Begin:s.End])
+	var out []string
+	for begin, end := nextToken(text, 0); begin < end; begin, end = nextToken(text, end) {
+		out = append(out, strings.ToLower(text[begin:end]))
 	}
 	return out
 }

@@ -67,23 +67,25 @@ func (t *Trie) Get(tokens []string) (int, bool) {
 }
 
 // LongestMatch finds the longest stored sequence that is a prefix of
-// tokens[start:]. It returns the payload and the number of tokens matched
-// (0 if nothing matches at start). This is the left-bounded greedy
+// the n-token sequence whose i-th token is token(i), from token start
+// on. It returns the payload and the number of tokens matched (0 if
+// nothing matches at start). This is the left-bounded greedy
 // longest-match step of the annotator: shorter matches fully enclosed by
-// the returned one are never reported.
-func (t *Trie) LongestMatch(tokens []string, start int) (value, length int) {
-	n := t.root
+// the returned one are never reported. Taking the tokens as a function
+// lets the annotator match its token layer without copying it.
+func (t *Trie) LongestMatch(n int, token func(i int) string, start int) (value, length int) {
+	node := t.root
 	bestLen := 0
 	bestVal := 0
-	for i := start; i < len(tokens); i++ {
-		child, ok := n.children[tokens[i]]
+	for i := start; i < n; i++ {
+		child, ok := node.children[token(i)]
 		if !ok {
 			break
 		}
-		n = child
-		if n.terminal {
+		node = child
+		if node.terminal {
 			bestLen = i - start + 1
-			bestVal = n.value
+			bestVal = node.value
 		}
 	}
 	return bestVal, bestLen

@@ -47,6 +47,11 @@ func TestInsertOverwriteAndEmpty(t *testing.T) {
 	}
 }
 
+// longestMatch is LongestMatch over a slice of tokens.
+func longestMatch(tr *Trie, tokens []string, start int) (value, length int) {
+	return tr.LongestMatch(len(tokens), func(i int) string { return tokens[i] }, start)
+}
+
 func TestLongestMatch(t *testing.T) {
 	tr := New()
 	tr.Insert([]string{"noise"}, 1)
@@ -54,21 +59,21 @@ func TestLongestMatch(t *testing.T) {
 	tr.Insert([]string{"squeaking", "noise", "rear"}, 3)
 
 	toks := strings.Fields("loud squeaking noise rear left")
-	v, l := tr.LongestMatch(toks, 1)
+	v, l := longestMatch(tr, toks, 1)
 	if v != 3 || l != 3 {
 		t.Fatalf("match = %d,%d; want 3,3", v, l)
 	}
 	// At "noise" position the single-token entry matches.
-	v, l = tr.LongestMatch(toks, 2)
+	v, l = longestMatch(tr, toks, 2)
 	if v != 1 || l != 1 {
 		t.Fatalf("match = %d,%d; want 1,1", v, l)
 	}
 	// No match at "loud".
-	if _, l := tr.LongestMatch(toks, 0); l != 0 {
+	if _, l := longestMatch(tr, toks, 0); l != 0 {
 		t.Fatalf("unexpected match length %d", l)
 	}
 	// Start beyond the end.
-	if _, l := tr.LongestMatch(toks, 99); l != 0 {
+	if _, l := longestMatch(tr, toks, 99); l != 0 {
 		t.Fatalf("out-of-range match length %d", l)
 	}
 }
@@ -78,12 +83,12 @@ func TestLongestMatchPrefersLongerEvenWithGapsInTerminals(t *testing.T) {
 	// "a b c" stored but NOT "a b": the walk must still find "a b c".
 	tr.Insert([]string{"a"}, 1)
 	tr.Insert([]string{"a", "b", "c"}, 3)
-	v, l := tr.LongestMatch([]string{"a", "b", "c", "d"}, 0)
+	v, l := longestMatch(tr, []string{"a", "b", "c", "d"}, 0)
 	if v != 3 || l != 3 {
 		t.Fatalf("match = %d,%d; want 3,3", v, l)
 	}
 	// When the long path dead-ends, fall back to the shorter terminal.
-	v, l = tr.LongestMatch([]string{"a", "b", "x"}, 0)
+	v, l = longestMatch(tr, []string{"a", "b", "x"}, 0)
 	if v != 1 || l != 1 {
 		t.Fatalf("match = %d,%d; want 1,1", v, l)
 	}
@@ -124,7 +129,7 @@ func TestInsertLookupProperty(t *testing.T) {
 			}
 			// The full inserted sequence is terminal, so the longest match
 			// over exactly that sequence is the sequence itself.
-			if v, l := tr.LongestMatch(seq, 0); v != value || l != len(seq) {
+			if v, l := longestMatch(tr, seq, 0); v != value || l != len(seq) {
 				return false
 			}
 		}
