@@ -79,15 +79,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s ./internal/reldb
 	$(GO) test -run '^$$' -fuzz '^FuzzRank$$' -fuzztime 10s ./internal/kb
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBundle$$' -fuzztime 10s ./internal/obs/flight
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadTaxonomy$$' -fuzztime 10s ./internal/taxonomy
 
-## golden: run `experiments -small -all` and diff its output, wall-clock
-## columns masked, against cmd/experiments/testdata/small_all.golden.
+## golden: run `experiments -small -all` and paper-scale `experiments -all`
+## and diff their output, wall-clock columns masked, against
+## cmd/experiments/testdata/small_all.golden and paper_all.golden.
 golden:
-	$(GO) test -count 1 -run '^TestSmallAllGolden$$' ./cmd/experiments
+	$(GO) test -count 1 -run '^Test(Small|Paper)AllGolden$$' ./cmd/experiments
 
 ## check: the pre-merge tier — vet, gofmt, qatklint, the race-enabled suite, the
 ## crash harness, the shard + replication chaos matrices, the fuzz smoke, the
-## experiments golden, the benchmark module's meta-tests, and the benchmark
+## experiments goldens, the benchmark module's meta-tests, and the benchmark
 ## regression gate
 check: vet fmt-check lint race crash chaos chaos-repl fuzz-smoke golden bench-meta bench-gate
 

@@ -389,24 +389,27 @@ func BenchmarkAblationNodeDedup(b *testing.B) {
 
 // BenchmarkAblationTaxonomyAdaptation runs the §6 extension: per-fold
 // taxonomy mining recovers most of the bag-of-words advantage for the
-// industrially feasible bag-of-concepts model.
+// industrially feasible bag-of-concepts model. Each op scans the bundles
+// for candidate terms once and cross-validates through eval's fold loop.
 func BenchmarkAblationTaxonomyAdaptation(b *testing.B) {
 	c := paperCorpus(b)
 	b.ResetTimer()
-	var acc eval.AccuracyAtK
-	var added int
+	var res *eval.Result
+	var a *taxext.Adaptation
 	for i := 0; i < b.N; i++ {
+		e := eval.New(c.Taxonomy, c.Bundles)
 		var err error
-		acc, added, err = taxext.Evaluate(c.Taxonomy, c.Bundles,
-			taxext.DefaultConfig(), core.Jaccard{}, 5, 1, nil)
-		if err != nil {
+		if a, err = taxext.NewAdaptation(e.Taxonomy, e.Bundles); err != nil {
+			b.Fatal(err)
+		}
+		if res, err = e.RunAdapted(eval.Variant{Name: "boc adapted", Model: kb.BagOfConcepts, Sim: core.Jaccard{}}, a.Adapt); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(acc[1], "adapted-acc@1")
-	b.ReportMetric(acc[10], "adapted-acc@10")
-	b.ReportMetric(float64(added), "mined-concepts")
+	b.ReportMetric(res.Accuracy[1], "adapted-acc@1")
+	b.ReportMetric(res.Accuracy[10], "adapted-acc@10")
+	b.ReportMetric(float64(a.Added()), "mined-concepts")
 }
 
 // --- §3.2 corpus statistics ----------------------------------------------

@@ -18,11 +18,18 @@ var (
 // TestSmallAllGolden runs `experiments -small -all` and compares its
 // output, wall-clock columns masked, with testdata/small_all.golden.
 func TestSmallAllGolden(t *testing.T) {
+	checkGolden(t, "testdata/small_all.golden", "-small", "-all")
+}
+
+// checkGolden runs the experiments with args and compares their output,
+// wall-clock columns masked, with the golden file.
+func checkGolden(t *testing.T, golden string, args ...string) {
+	t.Helper()
 	var out bytes.Buffer
-	run(&out, []string{"-small", "-all"})
+	run(&out, args)
 	got := msPerBundle.ReplaceAllString(out.String(), "$1 <ms/bundle> ")
 	got = duration.ReplaceAllString(got, " <duration>")
-	want, err := os.ReadFile("testdata/small_all.golden")
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func run(cmd, taxPath string, id int, kind, path, lang, terms, data string, appl
 				assigned = append(assigned, b)
 			}
 		}
-		proposals, err := taxext.Mine(tax, bundle.FilterMultiOccurrence(assigned), taxext.DefaultConfig())
+		proposals, err := taxext.Mine(tax, bundle.FilterMultiOccurrence(assigned))
 		if err != nil {
 			return err
 		}

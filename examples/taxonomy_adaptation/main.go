@@ -30,7 +30,7 @@ func main() {
 	}
 
 	// Step 1: see what the miner proposes on the full corpus.
-	proposals, err := taxext.Mine(corpus.Taxonomy, corpus.Bundles, taxext.DefaultConfig())
+	proposals, err := taxext.Mine(corpus.Taxonomy, corpus.Bundles)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,8 +55,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	adapted, added, err := taxext.Evaluate(corpus.Taxonomy, corpus.Bundles,
-		taxext.DefaultConfig(), core.Jaccard{}, 5, 1, nil)
+	a, err := taxext.NewAdaptation(e.Taxonomy, e.Bundles)
+	if err != nil {
+		log.Fatal(err)
+	}
+	adapted, err := e.RunAdapted(eval.Variant{Name: "boc adapted", Model: kb.BagOfConcepts, Sim: core.Jaccard{}}, a.Adapt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,5 +70,5 @@ func main() {
 	fmt.Printf("  bag-of-concepts, legacy taxonomy %5.1f%% / %5.1f%%   (fast, but the resource misses task vocabulary)\n",
 		100*plain.Accuracy[1], 100*plain.Accuracy[10])
 	fmt.Printf("  bag-of-concepts, adapted (+%d)   %5.1f%% / %5.1f%%   (fast AND accurate)\n",
-		added, 100*adapted[1], 100*adapted[10])
+		a.Added(), 100*adapted.Accuracy[1], 100*adapted.Accuracy[10])
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -293,18 +294,20 @@ func TestHotAllocGate(t *testing.T) {
 	}
 }
 
-// TestHotAllocResolvesCompilerPositions: the compiler prints escape
-// positions relative to the directory the build ran in; they resolve to
-// the fileset's absolute filenames, and a build whose escapes resolve to
-// no file of the package is an error rather than a silent pass.
+// TestHotAllocResolvesCompilerPositions: with -trimpath the compiler
+// prints escape positions as "<import path>/<file>"; those of the
+// package resolve to the fileset's absolute filenames, others stay as
+// printed, and a build whose escapes resolve to no file of the package
+// is an error rather than a silent pass.
 func TestHotAllocResolvesCompilerPositions(t *testing.T) {
 	dir := filepath.Join(string(filepath.Separator), "mod", "pkg")
 	for line, want := range map[string]string{
-		"./hot.go:12:9: make([]int, n) escapes to heap":          filepath.Join(dir, "hot.go"),
-		"../other/x.go:3:1: moved to heap: v":                    filepath.Join(dir, "..", "other", "x.go"),
-		filepath.Join(dir, "abs.go") + ":7:2: p escapes to heap": filepath.Join(dir, "abs.go"),
+		"mod/pkg/hot.go:12:9: make([]int, n) escapes to heap": filepath.Join(dir, "hot.go"),
+		"mod/other/x.go:3:1: moved to heap: v":                "mod/other/x.go",
+		"mod/pkgx/y.go:3:1: moved to heap: v":                 "mod/pkgx/y.go",
+		"mod/pkg/sub/z.go:7:2: p escapes to heap":             "mod/pkg/sub/z.go",
 	} {
-		d, ok := parseEscapeLine(dir, line)
+		d, ok := parseEscapeLine(dir, "mod/pkg", line)
 		if !ok || d.file != want {
 			t.Errorf("parseEscapeLine(%q) = %+v, %v; want file %s", line, d, ok, want)
 		}
@@ -321,6 +324,52 @@ func TestHotAllocResolvesCompilerPositions(t *testing.T) {
 	if err := checkResolved([]escapeDiag{miss}, files, "mod/pkg"); err == nil {
 		t.Error("escapes resolving to no file of the package passed")
 	}
+}
+
+// TestHotAllocAfterForeignEscapeBuild: the build cache replays -m=2
+// output as the first build of the package printed it. A developer's own
+// escape-analysis build from the module root must not leave hotalloc
+// unable to resolve the positions when it builds from the package
+// directory. The fixture imports nothing, so a fresh cache compiles it
+// at once.
+func TestHotAllocAfterForeignEscapeBuild(t *testing.T) {
+	mod := t.TempDir()
+	t.Setenv("GOCACHE", t.TempDir())
+	pkgDir := filepath.Join(mod, "hot")
+	for name, src := range map[string]string{
+		"go.mod":     "module fix\n\ngo 1.22\n",
+		"hot/hot.go": "package hot\n\n// Box boxes its argument.\n//\n//qatk:hotpath\nfunc Box(v int) any {\n\treturn v\n}\n",
+	} {
+		path := filepath.Join(mod, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prime := exec.Command("go", "build", "-gcflags=fix/hot=-m=2", "./hot")
+	prime.Dir = mod
+	prime.Env = append(os.Environ(), "CGO_ENABLED=0")
+	if out, err := prime.CombinedOutput(); err != nil {
+		t.Fatalf("priming build: %v\n%s", err, out)
+	}
+
+	fset := token.NewFileSet()
+	pkgs, err := Load(fset, pkgDir, ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := Run(fset, pkgs, []*Analyzer{HotAlloc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		if d.Analyzer == "hotalloc" && strings.Contains(d.Message, "escapes to heap") && d.Line == 7 {
+			return
+		}
+	}
+	t.Fatalf("hotalloc did not report the boxing in Box: %v", diags)
 }
 
 // TestWriteJSONRoundTrip checks the machine-readable output: parseable

@@ -20,9 +20,9 @@ import (
 //	//qatk:hotpath
 //	func (c *Counter) Add(delta float64) { ... }
 //
-// and the analyzer shells out to `go build -gcflags=<pkg>=-m=2` for the
-// annotated package, parses the compiler's escape-analysis diagnostics,
-// and reports every heap escape ("x escapes to heap", interface boxing
+// and the analyzer shells out to `go build -trimpath -gcflags=<pkg>=-m=2`
+// for the annotated package, parses the compiler's escape-analysis
+// diagnostics, and reports every heap escape ("x escapes to heap", interface boxing
 // included) or heap move ("moved to heap: x") whose position falls
 // inside an annotated function. The evidence is the real compiler's
 // escape analysis, so the gate cannot drift from what the binary does —
@@ -176,7 +176,7 @@ func passPackageDir(pass *Pass) (dir, importPath string) {
 
 // escapeDiag is one parsed compiler escape diagnostic.
 type escapeDiag struct {
-	file string // absolute and clean
+	file string // absolute for a file of the package, else as printed
 	line int
 	col  int
 	msg  string
@@ -184,9 +184,13 @@ type escapeDiag struct {
 
 // escapeDiagnostics builds the package with -m=2 and parses the escape
 // analysis output. The go build cache replays compiler diagnostics on
-// cache hits, so repeated runs stay fast without -a.
+// cache hits, so repeated runs stay fast without -a. It replays them as
+// the first build printed them, so the build uses -trimpath: positions
+// then read "<import path>/<file>" whichever directory compiled the
+// package, and a developer's own -m=2 build (without -trimpath) is a
+// different cache entry.
 func escapeDiagnostics(dir, importPath string) ([]escapeDiag, error) {
-	cmd := exec.Command("go", "build", "-gcflags="+importPath+"=-m=2", importPath)
+	cmd := exec.Command("go", "build", "-trimpath", "-gcflags="+importPath+"=-m=2", importPath)
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
 	var out bytes.Buffer
@@ -203,7 +207,7 @@ func escapeDiagnostics(dir, importPath string) ([]escapeDiag, error) {
 	var diags []escapeDiag
 	seen := map[string]int{}
 	for _, line := range strings.Split(out.String(), "\n") {
-		d, ok := parseEscapeLine(dir, line)
+		d, ok := parseEscapeLine(dir, importPath, line)
 		if !ok {
 			continue
 		}
@@ -219,12 +223,14 @@ func escapeDiagnostics(dir, importPath string) ([]escapeDiag, error) {
 }
 
 // parseEscapeLine extracts an escape/move diagnostic from one line of
-// `-m=2` output ("./file.go:10:12: x escapes to heap"). The compiler
-// prints positions relative to the directory the build ran in (dir), so
-// relative paths are joined onto it and cleaned, giving the absolute
-// filenames the fileset uses. Indented flow detail, non-escape chatter
-// (inlining decisions) and string-literal subjects are rejected.
-func parseEscapeLine(dir, line string) (escapeDiag, bool) {
+// `-trimpath -m=2` output ("repro/pkg/file.go:10:12: x escapes to
+// heap"). A position in a file of the package, "<importPath>/<file>",
+// resolves to that file in dir, the absolute filename the fileset uses;
+// any other position (code inlined from another package) is kept as
+// printed, so that checkResolved sees it. Indented flow detail,
+// non-escape chatter (inlining decisions) and string-literal subjects
+// are rejected.
+func parseEscapeLine(dir, importPath, line string) (escapeDiag, bool) {
 	parts := strings.SplitN(line, ":", 4)
 	if len(parts) != 4 {
 		return escapeDiag{}, false
@@ -252,10 +258,10 @@ func parseEscapeLine(dir, line string) (escapeDiag, bool) {
 		return escapeDiag{}, false // message constant on an inlined cold path
 	}
 	file := parts[0]
-	if !filepath.IsAbs(file) {
-		file = filepath.Join(dir, file)
+	if name, ok := strings.CutPrefix(file, importPath+"/"); ok && !strings.Contains(name, "/") {
+		file = filepath.Join(dir, name)
 	}
-	return escapeDiag{file: filepath.Clean(file), line: lineNo, col: col, msg: msg}, true
+	return escapeDiag{file: file, line: lineNo, col: col, msg: msg}, true
 }
 
 // containingHotFunc returns the annotated function covering file:line.

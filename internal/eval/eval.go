@@ -23,7 +23,7 @@ import (
 	"repro/internal/taxonomy"
 )
 
-// Span names opened by crossValidate (Run and both baselines).
+// Span names opened by crossValidate (Run, RunAdapted and both baselines).
 const (
 	spanVariant = "eval.variant"
 	spanFold    = "eval.fold"
@@ -178,13 +178,39 @@ func (v Variant) testSources() []bundle.Source {
 // fold's knowledge base, given every bundle's test features.
 type variantClassifier func(v Variant, mem *kb.Memory, testFeats [][]string) foldClassifier
 
+// toolkit builds the toolkit that analyses reports for v over tax.
+func (v Variant) toolkit(tax *taxonomy.Taxonomy) *qatk.Toolkit {
+	return qatk.New(tax, func(t *qatk.Toolkit) {
+		t.Model, t.Stopwords, t.SpellNorm, t.Stemming = v.Model, v.Stopwords, v.SpellNorm, v.Stemming
+	})
+}
+
+// featureSets analyses every bundle once through tk: one
+// qatk.Toolkit.FeatureSets call per bundle yields its features for each
+// of sets, as feats[set][bundle].
+func (e *Experiment) featureSets(tk *qatk.Toolkit, sets [][]bundle.Source) ([][][]string, error) {
+	feats := make([][][]string, len(sets))
+	for s := range feats {
+		feats[s] = make([][]string, len(e.Bundles))
+	}
+	for i, b := range e.Bundles {
+		fs, err := tk.FeatureSets(b, sets...)
+		if err != nil {
+			return nil, fmt.Errorf("eval: bundle %s: %w", b.RefNo, err)
+		}
+		for s := range fs {
+			feats[s][i] = fs[s]
+		}
+	}
+	return feats, nil
+}
+
 // crossValidateAll cross-validates variants, each result at its variant's
 // index, stopping at the first failure. It groups the variants by toolkit
-// configuration and analyses every bundle once per group: one
-// qatk.Toolkit.FeatureSets call per bundle yields its training features
-// and its features for each distinct test-source set of the group. The
-// group's variants all read those tables, which are dropped before the
-// next group is analysed.
+// configuration and analyses every bundle once per group, for its
+// training features and its features for each distinct test-source set
+// of the group. The group's variants all read those tables, which are
+// dropped before the next group is analysed.
 func (e *Experiment) crossValidateAll(variants []Variant, classifier variantClassifier) ([]*Result, error) {
 	out := make([]*Result, len(variants))
 	for i, v := range variants {
@@ -207,10 +233,6 @@ func (e *Experiment) crossValidateAll(variants []Variant, classifier variantClas
 // crossValidateGroup cross-validates the variants at indexes group, which
 // share a toolkit configuration, into out.
 func (e *Experiment) crossValidateGroup(variants []Variant, group []int, classifier variantClassifier, out []*Result) error {
-	cfg := variants[group[0]]
-	tk := qatk.New(e.Taxonomy, func(t *qatk.Toolkit) {
-		t.Model, t.Stopwords, t.SpellNorm, t.Stemming = cfg.Model, cfg.Stopwords, cfg.SpellNorm, cfg.Stemming
-	})
 	sets := [][]bundle.Source{bundle.TrainingSources()}
 	table := make([]int, len(group)) // each variant's test set, an index into sets
 	for g, i := range group {
@@ -221,45 +243,46 @@ func (e *Experiment) crossValidateGroup(variants []Variant, group []int, classif
 			sets = append(sets, src)
 		}
 	}
-	feats := make([][][]string, len(sets)) // feats[set][bundle]
-	for s := range feats {
-		feats[s] = make([][]string, len(e.Bundles))
-	}
-	for i, b := range e.Bundles {
-		fs, err := tk.FeatureSets(b, sets...)
-		if err != nil {
-			return fmt.Errorf("eval: bundle %s: %w", b.RefNo, err)
-		}
-		for s := range fs {
-			feats[s][i] = fs[s]
-		}
+	feats, err := e.featureSets(variants[group[0]].toolkit(e.Taxonomy), sets)
+	if err != nil {
+		return err
 	}
 	for g, i := range group {
-		v, test := variants[i], feats[table[g]]
-		out[i] = e.crossValidate(v.Name, feats[0], func(mem *kb.Memory) foldClassifier {
-			return classifier(v, mem, test)
-		})
+		test := feats[table[g]]
+		out[i], err = e.crossValidate(variants[i], func([]int) ([][]string, [][]string, error) {
+			return feats[0], test, nil
+		}, classifier)
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
+
+// foldFeatures returns one fold's features, given the fold's training
+// indexes into Experiment.Bundles: the training features its knowledge
+// base is built from (nil: code frequencies only) and the test features,
+// both indexed like Experiment.Bundles.
+type foldFeatures func(train []int) (trainFeats, testFeats [][]string, err error)
 
 // foldClassifier ranks held-out bundle idx over one fold's knowledge base
 // and reports how many candidate nodes it scored (0 for the baselines,
 // which score none).
 type foldClassifier func(idx int) (list []core.ScoredCode, candidates int)
 
-// crossValidate is the fold loop behind Run and both baselines. For each
-// stratified fold it builds the knowledge base from the other folds'
-// training features (nil trainFeats: code frequencies only), asks newFold
-// for the fold's classifier over it and ranks every held-out bundle. The
-// injected clock is read before and after each fold's classification
-// loop, while the fold's knowledge base and every feature set are live.
-func (e *Experiment) crossValidate(name string, trainFeats [][]string, newFold func(mem *kb.Memory) foldClassifier) *Result {
+// crossValidate is the one fold loop: Run, RunAdapted and both baselines
+// cross-validate through it. For each stratified fold it asks features
+// for the fold's tables, builds the knowledge base from the training
+// bundles' features, asks classifier for v's classifier over it and ranks
+// every held-out bundle. The injected clock is read before and after each
+// fold's classification loop, while the fold's knowledge base and every
+// feature set are live.
+func (e *Experiment) crossValidate(v Variant, features foldFeatures, classifier variantClassifier) (*Result, error) {
 	folds := StratifiedFolds(e.Bundles, e.Folds, e.Seed)
-	res := &Result{Variant: name, Accuracy: AccuracyAtK{}}
-	vspan := e.Tracer.Start(nil, spanVariant, obs.L("variant", name))
+	res := &Result{Variant: v.Name, Accuracy: AccuracyAtK{}}
+	vspan := e.Tracer.Start(nil, spanVariant, obs.L("variant", v.Name))
 	defer vspan.End(nil)
-	guard := e.Flight.Guard(spanVariant + ":" + name)
+	guard := e.Flight.Guard(spanVariant + ":" + v.Name)
 	defer guard.Stop()
 	hits := map[int]int{}
 	total := 0
@@ -270,23 +293,31 @@ func (e *Experiment) crossValidate(name string, trainFeats [][]string, newFold f
 	for f := 0; f < e.Folds; f++ {
 		guard.Beat()
 		fspan := e.Tracer.Start(vspan, spanFold, obs.L("fold", strconv.Itoa(f)))
-		mem := kb.NewMemory()
 		inTest := make(map[int]bool, len(folds[f]))
 		for _, idx := range folds[f] {
 			inTest[idx] = true
 		}
-		for i, b := range e.Bundles {
-			if inTest[i] {
-				continue
+		train := make([]int, 0, len(e.Bundles)-len(folds[f]))
+		for i := range e.Bundles {
+			if !inTest[i] {
+				train = append(train, i)
 			}
+		}
+		trainFeats, testFeats, err := features(train)
+		if err != nil {
+			fspan.End(err)
+			return nil, err
+		}
+		mem := kb.NewMemory()
+		for _, i := range train {
 			var feats []string
 			if trainFeats != nil {
 				feats = trainFeats[i]
 			}
-			mem.AddBundle(b.PartID, b.ErrorCode, feats)
+			mem.AddBundle(e.Bundles[i].PartID, e.Bundles[i].ErrorCode, feats)
 		}
 		kbNodes += mem.NodeCount()
-		classify := newFold(mem)
+		classify := classifier(v, mem, testFeats)
 
 		foldAcc := AccuracyAtK{}
 		foldHits := map[int]int{}
@@ -321,7 +352,7 @@ func (e *Experiment) crossValidate(name string, trainFeats [][]string, newFold f
 	if total > 0 {
 		res.CandidateSize = float64(candidates) / float64(total)
 	}
-	return res
+	return res, nil
 }
 
 // Run cross-validates one variant.
@@ -336,23 +367,51 @@ func (e *Experiment) Run(v Variant) (*Result, error) {
 // RunAll cross-validates several variants, stopping at the first failure.
 // Variants that share a toolkit configuration share one analysis pass.
 func (e *Experiment) RunAll(variants []Variant) ([]*Result, error) {
-	return e.crossValidateAll(variants, func(v Variant, mem *kb.Memory, testFeats [][]string) foldClassifier {
-		clf := core.New(mem, v.Sim)
-		return func(idx int) ([]core.ScoredCode, int) {
-			return clf.RecommendCounted(e.Bundles[idx].PartID, testFeats[idx])
+	return e.crossValidateAll(variants, e.rank)
+}
+
+// rank is the classifier of RunAll and RunAdapted: v's similarity over the
+// fold's knowledge base.
+func (e *Experiment) rank(v Variant, mem *kb.Memory, testFeats [][]string) foldClassifier {
+	clf := core.New(mem, v.Sim)
+	return func(idx int) ([]core.ScoredCode, int) {
+		return clf.RecommendCounted(e.Bundles[idx].PartID, testFeats[idx])
+	}
+}
+
+// RunAdapted cross-validates v over a taxonomy adapted per fold. adapt
+// returns a fold's taxonomy given the fold's training indexes into
+// Bundles, so that nothing of the held-out bundles reaches it. Each fold
+// then analyses every bundle once, through a toolkit with v's
+// configuration over that taxonomy, for its training and test features.
+func (e *Experiment) RunAdapted(v Variant, adapt func(train []int) (*taxonomy.Taxonomy, error)) (*Result, error) {
+	sets := [][]bundle.Source{bundle.TrainingSources(), v.testSources()}
+	return e.crossValidate(v, func(train []int) ([][]string, [][]string, error) {
+		tax, err := adapt(train)
+		if err != nil {
+			return nil, nil, fmt.Errorf("eval: adapt taxonomy: %w", err)
 		}
-	})
+		feats, err := e.featureSets(v.toolkit(tax), sets)
+		if err != nil {
+			return nil, nil, err
+		}
+		return feats[0], feats[1], nil
+	}, e.rank)
 }
 
 // RunFrequencyBaseline evaluates the code-frequency baseline (§5.1). It
 // only needs frequencies, so the fold knowledge bases carry no features.
 func (e *Experiment) RunFrequencyBaseline() *Result {
-	return e.crossValidate("code frequency baseline", nil, func(mem *kb.Memory) foldClassifier {
+	// Without analysis nothing can fail.
+	res, _ := e.crossValidate(Variant{Name: "code frequency baseline"}, func([]int) ([][]string, [][]string, error) {
+		return nil, nil, nil
+	}, func(_ Variant, mem *kb.Memory, _ [][]string) foldClassifier {
 		bl := baseline.CodeFrequency{Store: mem}
 		return func(idx int) ([]core.ScoredCode, int) {
 			return bl.Recommend(e.Bundles[idx].PartID), 0
 		}
 	})
+	return res
 }
 
 // RunCandidateSetBaseline evaluates the unsorted candidate-set baseline for

@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"repro/internal/bundle"
+	"repro/internal/cas"
 	"repro/internal/qatk"
 	"repro/internal/taxonomy"
 	"repro/internal/textproc"
@@ -31,68 +32,127 @@ type Proposal struct {
 	Confidence float64 // share of those bundles carrying ErrorCode
 }
 
-// Config tunes the miner.
-type Config struct {
-	MinSupport    int     // minimum bundles containing the term (default 3)
-	MinConfidence float64 // minimum share of the top code (default 0.6)
-	MinTermLength int     // minimum term length in bytes (default 4)
+// The miner's thresholds: a term is proposed when it occurs in at least
+// minSupport bundles, at least minConfidence of those carry one error
+// code, and it is at least minTermLength bytes long.
+const (
+	minSupport    = 3
+	minConfidence = 0.6
+	minTermLength = 4
+)
+
+// Mine extracts proposals from classified bundles: it scans every bundle
+// once for its candidate terms (NewAdaptation) and keeps the terms whose
+// occurrence over all of them concentrates on a single error code.
+func Mine(tax *taxonomy.Taxonomy, bundles []*bundle.Bundle) ([]Proposal, error) {
+	a, err := NewAdaptation(tax, bundles)
+	if err != nil {
+		return nil, err
+	}
+	all := make([]int, len(bundles))
+	for i := range all {
+		all[i] = i
+	}
+	return a.propose(all), nil
 }
 
-// DefaultConfig returns the miner defaults.
-func DefaultConfig() Config {
-	return Config{MinSupport: 3, MinConfidence: 0.6, MinTermLength: 4}
+// Adaptation adapts a taxonomy to subsets of a fixed set of classified
+// bundles, such as the training folds of a cross-validation. A bundle's
+// candidate terms do not depend on the subset, so NewAdaptation finds
+// them once per bundle, and each Adapt call only sums them.
+type Adaptation struct {
+	tax   *taxonomy.Taxonomy
+	codes []string   // each bundle's error code
+	terms [][]string // each bundle's distinct candidate terms
+	added []int      // concepts each Adapt call added
 }
 
-// Mine extracts proposals from classified training bundles. It tokenizes
-// each bundle's training-phase text, removes everything the taxonomy
-// already covers (via the trie annotator), stopwords and short tokens, and
-// keeps terms whose occurrence concentrates on a single error code.
-func Mine(tax *taxonomy.Taxonomy, bundles []*bundle.Bundle, cfg Config) ([]Proposal, error) {
-	if cfg.MinSupport <= 0 {
-		cfg.MinSupport = 3
-	}
-	if cfg.MinConfidence <= 0 {
-		cfg.MinConfidence = 0.6
-	}
-	if cfg.MinTermLength <= 0 {
-		cfg.MinTermLength = 4
-	}
+// NewAdaptation scans bundles for their candidate terms: the distinct
+// tokens of each bundle's training-phase reports that no concept of tax
+// covers (found by the trie annotator), that are not stopwords and that
+// are at least minTermLength bytes long. Every bundle needs an error
+// code. Each report is analysed on its own, as Toolkit.FeatureSets does;
+// no engine looks across a report boundary, so the terms are those of
+// the joined training-phase text.
+func NewAdaptation(tax *taxonomy.Taxonomy, bundles []*bundle.Bundle) (*Adaptation, error) {
+	a := &Adaptation{tax: tax, codes: make([]string, len(bundles)), terms: make([][]string, len(bundles))}
 	tk := qatk.New(tax)
 	stop := textproc.NewStopwordSet()
-
-	// term → code → bundle count
-	occur := map[string]map[string]int{}
-	for _, b := range bundles {
+	c := new(cas.CAS)
+	seen := map[string]bool{}
+	for i, b := range bundles {
 		if b.ErrorCode == "" {
 			return nil, fmt.Errorf("taxext: bundle %s has no error code", b.RefNo)
 		}
-		c := b.CAS(bundle.TrainingSources()...)
-		if _, err := tk.Analyze(c); err != nil {
-			return nil, err
-		}
-		// Byte ranges covered by concept mentions.
-		covered := make([]bool, len(c.Text()))
-		for _, m := range c.Concepts() {
-			for i := m.Begin; i < m.End; i++ {
-				covered[i] = true
-			}
-		}
-		seen := map[string]bool{}
-		for _, t := range c.Tokens() {
-			if covered[t.Begin] {
-				continue // the taxonomy already knows this mention
-			}
-			w := t.Norm
-			if len(w) < cfg.MinTermLength || stop.Contains(w) || seen[w] {
+		a.codes[i] = b.ErrorCode
+		clear(seen)
+		for _, s := range bundle.TrainingSources() {
+			text := b.ReportText(s)
+			if text == "" {
 				continue
 			}
-			seen[w] = true
+			c.Reset(string(s), text)
+			if _, err := tk.Analyze(c); err != nil {
+				return nil, fmt.Errorf("taxext: bundle %s, %s report: %w", b.RefNo, s, err)
+			}
+			// Byte ranges covered by concept mentions.
+			covered := make([]bool, len(text))
+			for _, m := range c.Concepts() {
+				for p := m.Begin; p < m.End; p++ {
+					covered[p] = true
+				}
+			}
+			for _, t := range c.Tokens() {
+				if covered[t.Begin] {
+					continue // the taxonomy already knows this mention
+				}
+				w := t.Norm
+				if len(w) < minTermLength || stop.Contains(w) || seen[w] {
+					continue
+				}
+				seen[w] = true
+				a.terms[i] = append(a.terms[i], w)
+			}
+		}
+	}
+	return a, nil
+}
+
+// Adapt extends a copy of the taxonomy with the proposals mined from the
+// bundles at indexes train (Apply). It is the adapt step of
+// eval.Experiment.RunAdapted, over the experiment's bundles.
+func (a *Adaptation) Adapt(train []int) (*taxonomy.Taxonomy, error) {
+	ext, added, err := Apply(a.tax, a.propose(train))
+	if err != nil {
+		return nil, err
+	}
+	a.added = append(a.added, added)
+	return ext, nil
+}
+
+// Added returns the mean number of concepts an Adapt call added, rounded
+// down: in a cross-validation, the concepts added per fold.
+func (a *Adaptation) Added() int {
+	total := 0
+	for _, n := range a.added {
+		total += n
+	}
+	return total / max(len(a.added), 1)
+}
+
+// propose sums the candidate terms of the bundles at idx and returns the
+// terms that pass the miner's thresholds, most supported first.
+func (a *Adaptation) propose(idx []int) []Proposal {
+	// term → code → bundle count
+	occur := map[string]map[string]int{}
+	for _, i := range idx {
+		for _, w := range a.terms[i] {
 			m := occur[w]
 			if m == nil {
 				m = map[string]int{}
 				occur[w] = m
 			}
-			m[b.ErrorCode]++
+			m[a.codes[i]]++
 		}
 	}
 
@@ -106,11 +166,11 @@ func Mine(tax *taxonomy.Taxonomy, bundles []*bundle.Bundle, cfg Config) ([]Propo
 				bestCode, bestN = code, n
 			}
 		}
-		if support < cfg.MinSupport {
+		if support < minSupport {
 			continue
 		}
 		conf := float64(bestN) / float64(support)
-		if conf < cfg.MinConfidence {
+		if conf < minConfidence {
 			continue
 		}
 		out = append(out, Proposal{Term: term, ErrorCode: bestCode, Support: support, Confidence: conf})
@@ -124,7 +184,7 @@ func Mine(tax *taxonomy.Taxonomy, bundles []*bundle.Bundle, cfg Config) ([]Propo
 		}
 		return out[i].Term < out[j].Term
 	})
-	return out, nil
+	return out
 }
 
 // Apply extends a copy of the taxonomy with the proposals: the terms

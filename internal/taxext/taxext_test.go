@@ -1,6 +1,7 @@
 package taxext
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestMineFindsUncoveredCodeSpecificTerms(t *testing.T) {
 		mkBundle("g2", "E3", "radio inspected again inside"),
 		mkBundle("g3", "E4", "radio inspected as well inside"),
 	)
-	props, err := Mine(tax, bundles, DefaultConfig())
+	props, err := Mine(tax, bundles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,16 +86,16 @@ func TestMineThresholds(t *testing.T) {
 		mkBundle("a", "E1", "rare seepage"),
 		mkBundle("b", "E1", "rare seepage"),
 	}
-	// Support 2 < default 3: nothing proposed.
-	props, err := Mine(tax, bundles, DefaultConfig())
+	// Support 2 < 3: nothing proposed.
+	props, err := Mine(tax, bundles)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(props) != 0 {
 		t.Fatalf("proposals below support threshold: %v", props)
 	}
-	// Lowering the threshold surfaces them.
-	props, err = Mine(tax, bundles, Config{MinSupport: 2, MinConfidence: 0.6, MinTermLength: 4})
+	// A third bundle reaches the support threshold.
+	props, err = Mine(tax, append(bundles, mkBundle("c", "E1", "rare seepage")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestMineThresholds(t *testing.T) {
 func TestMineRejectsUnassigned(t *testing.T) {
 	tax := miniTaxonomy(t)
 	b := mkBundle("x", "", "text")
-	if _, err := Mine(tax, []*bundle.Bundle{b}, DefaultConfig()); err == nil {
+	if _, err := Mine(tax, []*bundle.Bundle{b}); err == nil {
 		t.Fatal("unassigned bundle accepted")
 	}
 }
@@ -143,6 +144,32 @@ func TestApplyExtendsCopy(t *testing.T) {
 	}
 }
 
+// adaptationConfig is the corpus of the adaptation tests: large enough
+// for the miner to find terms per fold.
+func adaptationConfig() datagen.Config {
+	cfg := datagen.SmallConfig()
+	cfg.Bundles = 800
+	cfg.Singletons = 60
+	cfg.CodesPerPart = []int{40, 30, 20, 14, 10}
+	cfg.ArticleCodes = 60
+	return cfg
+}
+
+// adapted cross-validates bag-of-concepts + Jaccard with the taxonomy
+// adapted per fold and returns the result and the adaptation.
+func adapted(t *testing.T, e *eval.Experiment) (*eval.Result, *Adaptation) {
+	t.Helper()
+	a, err := NewAdaptation(e.Taxonomy, e.Bundles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.RunAdapted(eval.Variant{Name: "boc adapted", Model: kb.BagOfConcepts, Sim: core.Jaccard{}}, a.Adapt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, a
+}
+
 // TestAdaptationImprovesBagOfConcepts is the extension experiment: with
 // per-fold taxonomy adaptation, bag-of-concepts accuracy must move toward
 // bag-of-words — the outcome §5.2.2 predicts for an improved resource.
@@ -150,12 +177,7 @@ func TestAdaptationImprovesBagOfConcepts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-validation in -short mode")
 	}
-	cfg := datagen.SmallConfig()
-	cfg.Bundles = 800
-	cfg.Singletons = 60
-	cfg.CodesPerPart = []int{40, 30, 20, 14, 10}
-	cfg.ArticleCodes = 60
-	corpus, err := datagen.Generate(cfg)
+	corpus, err := datagen.Generate(adaptationConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,18 +186,60 @@ func TestAdaptationImprovesBagOfConcepts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	adapted, added, err := Evaluate(corpus.Taxonomy, corpus.Bundles, DefaultConfig(),
-		core.Jaccard{}, 5, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added == 0 {
+	res, a := adapted(t, e)
+	if a.Added() == 0 {
 		t.Fatal("adaptation mined nothing")
 	}
-	if adapted[1] <= plain.Accuracy[1] {
-		t.Errorf("adaptation did not improve acc@1: %.3f vs %.3f", adapted[1], plain.Accuracy[1])
+	if res.Accuracy[1] <= plain.Accuracy[1] {
+		t.Errorf("adaptation did not improve acc@1: %.3f vs %.3f", res.Accuracy[1], plain.Accuracy[1])
 	}
 	t.Logf("bag-of-concepts acc@1: plain %.3f -> adapted %.3f (+%d mined concepts/fold)",
-		plain.Accuracy[1], adapted[1], added)
+		plain.Accuracy[1], res.Accuracy[1], a.Added())
+}
+
+// TestAdaptationMatchesFrozen checks the adapted run through eval's fold
+// loop, and the miner's scan-once-and-sum, against the frozen driver that
+// mined, trained and classified whole bundles per fold: accuracy, every
+// fold's accuracy, every fold's added concepts and the proposals over the
+// whole corpus must be identical, on two generated corpora.
+func TestAdaptationMatchesFrozen(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cross-validation in -short mode")
+	}
+	small := datagen.SmallConfig()
+	small.Seed = 3
+	for name, cfg := range map[string]datagen.Config{"adaptation": adaptationConfig(), "small-seed3": small} {
+		t.Run(name, func(t *testing.T) {
+			corpus, err := datagen.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantAcc, wantFold, wantAdded, err := frozenEvaluate(corpus.Taxonomy, corpus.Bundles, core.Jaccard{}, 5, 1, eval.DefaultKs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, a := adapted(t, eval.New(corpus.Taxonomy, corpus.Bundles))
+			if !reflect.DeepEqual(res.Accuracy, wantAcc) {
+				t.Errorf("accuracy %v, frozen %v", res.Accuracy, wantAcc)
+			}
+			if !reflect.DeepEqual(res.PerFold, wantFold) {
+				t.Errorf("per-fold accuracy %v, frozen %v", res.PerFold, wantFold)
+			}
+			if !reflect.DeepEqual(a.added, wantAdded) {
+				t.Errorf("concepts added per fold %v, frozen %v", a.added, wantAdded)
+			}
+
+			want, err := frozenMine(corpus.Taxonomy, corpus.Bundles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Mine(corpus.Taxonomy, corpus.Bundles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("Mine proposed %d terms, frozen %d, or they differ", len(got), len(want))
+			}
+		})
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind is the top-level category of a concept.
@@ -94,6 +95,9 @@ func (t *Taxonomy) Add(c Concept) error {
 	if c.Path == "" {
 		return fmt.Errorf("taxonomy: concept %d has empty path", c.ID)
 	}
+	if err := checkXMLText("path", c.Path); err != nil {
+		return fmt.Errorf("taxonomy: concept %d: %w", c.ID, err)
+	}
 	if _, exists := t.concepts[c.ID]; exists {
 		return fmt.Errorf("taxonomy: duplicate concept ID %d", c.ID)
 	}
@@ -102,9 +106,15 @@ func (t *Taxonomy) Add(c Concept) error {
 		if lang == "" {
 			return fmt.Errorf("taxonomy: concept %d has empty language code", c.ID)
 		}
+		if err := checkXMLText("language code", lang); err != nil {
+			return fmt.Errorf("taxonomy: concept %d: %w", c.ID, err)
+		}
 		for _, s := range syns {
 			if strings.TrimSpace(s) == "" {
 				return fmt.Errorf("taxonomy: concept %d has blank synonym in %q", c.ID, lang)
+			}
+			if err := checkXMLText("synonym", s); err != nil {
+				return fmt.Errorf("taxonomy: concept %d: %w", c.ID, err)
 			}
 			nonEmpty++
 		}
@@ -148,6 +158,12 @@ func (t *Taxonomy) AddSynonym(id int, lang, synonym string) error {
 	if lang == "" {
 		return fmt.Errorf("taxonomy: empty language code")
 	}
+	if err := checkXMLText("synonym", synonym); err != nil {
+		return fmt.Errorf("taxonomy: %w", err)
+	}
+	if err := checkXMLText("language code", lang); err != nil {
+		return fmt.Errorf("taxonomy: %w", err)
+	}
 	for _, s := range c.Synonyms[lang] {
 		if strings.EqualFold(s, synonym) {
 			return nil // already present
@@ -169,7 +185,27 @@ func (t *Taxonomy) Rename(id int, newPath string) error {
 	if newPath == "" {
 		return fmt.Errorf("taxonomy: empty path")
 	}
+	if err := checkXMLText("path", newPath); err != nil {
+		return fmt.Errorf("taxonomy: %w", err)
+	}
 	c.Path = newPath
+	return nil
+}
+
+// checkXMLText rejects text that the XML file cannot carry: invalid UTF-8
+// or a character outside XML 1.0's Char production. encoding/xml writes
+// such text with U+FFFD in its place, so the file would reload a
+// different term than the one saved.
+func checkXMLText(what, s string) error {
+	if !utf8.ValidString(s) {
+		return fmt.Errorf("%s %q is not valid UTF-8", what, s)
+	}
+	for _, r := range s {
+		if !(r == '\t' || r == '\n' || r == '\r' ||
+			r >= 0x20 && r <= 0xD7FF || r >= 0xE000 && r <= 0xFFFD || r >= 0x10000 && r <= utf8.MaxRune) {
+			return fmt.Errorf("%s %q has character %U, which XML cannot carry", what, s, r)
+		}
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package taxonomy
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -233,4 +234,81 @@ func TestLanguagesUnion(t *testing.T) {
 	if len(langs) != 2 || langs[0] != "de" || langs[1] != "en" {
 		t.Fatalf("languages = %v", langs)
 	}
+}
+
+// TestRejectsTextXMLCannotCarry: a term the XML file cannot carry would
+// save as U+FFFD and reload as another term, so Add, AddSynonym and
+// Rename refuse it, while tabs, line breaks and characters beyond the
+// BMP round-trip unchanged.
+func TestRejectsTextXMLCannotCarry(t *testing.T) {
+	for _, bad := range []string{"a\x01b", "x\uFFFEy", "a\xffb"} {
+		for _, c := range []Concept{
+			{ID: 1, Kind: KindSymptom, Path: "p", Synonyms: map[string][]string{"en": {bad}}},
+			{ID: 1, Kind: KindSymptom, Path: "p", Synonyms: map[string][]string{bad: {"a"}}},
+			{ID: 1, Kind: KindSymptom, Path: bad, Synonyms: map[string][]string{"en": {"a"}}},
+		} {
+			if err := New().Add(c); err == nil {
+				t.Errorf("Add accepted %q in %+v", bad, c)
+			}
+		}
+		tax := sample()
+		if err := tax.AddSynonym(100, "en", bad); err == nil {
+			t.Errorf("AddSynonym accepted synonym %q", bad)
+		}
+		if err := tax.AddSynonym(100, bad, "wing"); err == nil {
+			t.Errorf("AddSynonym accepted language %q", bad)
+		}
+		if err := tax.Rename(100, bad); err == nil {
+			t.Errorf("Rename accepted %q", bad)
+		}
+		if !reflect.DeepEqual(tax.Concepts(), sample().Concepts()) {
+			t.Errorf("a refused edit with %q changed the taxonomy", bad)
+		}
+	}
+
+	tax := sample()
+	if err := tax.AddSynonym(100, "en", "wing\tguard \U0001F527"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tax.Rename(200, "Noise\r\nSqueak"); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tax.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Concepts(), tax.Concepts()) {
+		t.Errorf("round trip changed the taxonomy:\n got %v\nwant %v", got.Concepts(), tax.Concepts())
+	}
+}
+
+// FuzzLoadTaxonomy feeds arbitrary bytes to Load — a taxonomy file is
+// outside input to taxtool, qatk and questd. No input may panic, and a
+// document Load accepts must save and reload to the same concepts.
+// Seeds in testdata/fuzz/FuzzLoadTaxonomy: a saved sample taxonomy, an
+// empty one, escaped whitespace and a character beyond the BMP, an
+// illegal character reference and a duplicate concept ID.
+func FuzzLoadTaxonomy(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		tax, err := Load(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tax.Save(&buf); err != nil {
+			t.Fatalf("save of a loaded taxonomy: %v", err)
+		}
+		saved := buf.String()
+		again, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("reload: %v\n%s", err, saved)
+		}
+		if !reflect.DeepEqual(again.Concepts(), tax.Concepts()) {
+			t.Fatalf("round trip changed the taxonomy:\n got %v\nwant %v", again.Concepts(), tax.Concepts())
+		}
+	})
 }
