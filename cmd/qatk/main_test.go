@@ -18,17 +18,17 @@ import (
 )
 
 // TestDiagnose runs `qatk diagnose` against the recorder's handler mounted
-// where questd mounts it, and against a bundle directory the same
-// recorder wrote: both reports carry the requests section and the
-// continuous profile, and -cpu writes a fresh CPU window from the URL.
+// where questd mounts it, and against a bundle file the same recorder
+// wrote: both reports carry the requests section and the continuous
+// profile, and -cpu writes a fresh CPU window from the URL.
 func TestDiagnose(t *testing.T) {
 	requests := reqlog.New(reqlog.Config{SampleAll: true})
 	requests.Begin("GET", "/api/recommend").Finish(200, 42, 3*time.Millisecond)
 	sampler := prof.New(prof.Config{
 		CaptureCPU: func(time.Duration) ([]byte, error) { return []byte("cpu-pprof-gz"), nil },
-		Profile: func(name string) ([]byte, error) {
+		Profile: func(name string) ([]prof.Sample, error) {
 			if name == "goroutine" {
-				return []byte("goroutine profile: total 3\n3 @ 0x1\n#\t0x1\tmain.main+0x1\t/src/main.go:1\n"), nil
+				return []prof.Sample{{Stack: []string{"main.main"}, Value: 3}}, nil
 			}
 			return nil, nil
 		},
@@ -72,7 +72,7 @@ func TestDiagnose(t *testing.T) {
 	}
 	for _, want := range append(wants, "INCIDENT REPORT — PANIC") {
 		if !strings.Contains(report.String(), want) {
-			t.Errorf("bundle dir report missing %q:\n%s", want, report.String())
+			t.Errorf("bundle file report missing %q:\n%s", want, report.String())
 		}
 	}
 }
@@ -123,7 +123,7 @@ func TestDiagnoseCPUWaitsOutServerWindow(t *testing.T) {
 			time.Sleep(d)
 			return []byte("cpu-pprof-gz"), nil
 		},
-		Profile: func(string) ([]byte, error) { return nil, nil },
+		Profile: func(string) ([]prof.Sample, error) { return nil, nil },
 	})
 	t.Cleanup(sampler.Close)
 	recorder := flight.New(flight.Config{Profiles: sampler})

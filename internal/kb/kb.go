@@ -75,16 +75,11 @@ type Store interface {
 	// query features the node carries, and returns the cut best in
 	// CompareScored order together with the candidate set's size.
 	Rank(partID string, features []string, sim Scorer, cut int) (nodes []Scored, candidates int)
-	// AllNodes returns every node (used by the candidate-set fallback and
-	// diagnostics).
-	AllNodes() []*Node
 	// CodeFrequencies returns the error codes recorded for a part sorted
 	// by descending data-bundle frequency (ties by code); for an unknown
 	// part it returns global frequencies. This feeds the code-frequency
 	// baseline (§5.1).
 	CodeFrequencies(partID string) []CodeCount
-	// BundleCount reports how many data bundles were added.
-	BundleCount() int
 }
 
 // Memory is the in-memory knowledge base. Its one index interns part IDs
@@ -210,7 +205,7 @@ func (m *Memory) addCount(partID, errorCode string, count int) {
 // NodeCount implements Store.
 func (m *Memory) NodeCount() int { return len(m.nodes) }
 
-// BundleCount implements Store.
+// BundleCount reports how many data bundles were added.
 func (m *Memory) BundleCount() int { return m.bundles }
 
 // KnownPart implements Store.
@@ -377,7 +372,8 @@ func offer(out []Scored, c Scored) []Scored {
 	return out
 }
 
-// AllNodes implements Store.
+// AllNodes returns every node (the unknown-part candidate set and
+// diagnostics).
 func (m *Memory) AllNodes() []*Node {
 	return append([]*Node(nil), m.nodes...)
 }

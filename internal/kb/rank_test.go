@@ -55,7 +55,7 @@ func TestSharedCount(t *testing.T) {
 // candidate set from Candidates, scores each candidate by merging its
 // features with the query's distinct sorted features, sorts all of them
 // under the ranking's total order and cuts the list.
-func scanRank(s kb.Store, partID string, features []string, sim kb.Scorer, cut int) ([]kb.Scored, int) {
+func scanRank(s *kb.Memory, partID string, features []string, sim kb.Scorer, cut int) ([]kb.Scored, int) {
 	cands := s.Candidates(partID, features)
 	query := slices.Clone(features)
 	slices.Sort(query)
@@ -81,7 +81,7 @@ func scanRank(s kb.Store, partID string, features []string, sim kb.Scorer, cut i
 // scanCandidates is the §4.3 candidate set by brute force over AllNodes, in
 // the order Candidates promises: by query feature, then by node. An
 // unknown part's candidate set is every node.
-func scanCandidates(s kb.Store, partID string, features []string) []*kb.Node {
+func scanCandidates(s *kb.Memory, partID string, features []string) []*kb.Node {
 	all := s.AllNodes()
 	if !slices.ContainsFunc(all, func(n *kb.Node) bool { return n.PartID == partID }) {
 		return all
@@ -172,7 +172,7 @@ func FuzzRank(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stores := map[string]kb.Store{
+		stores := map[string]*kb.Memory{
 			"trained":        mem,
 			"loaded":         loaded,
 			"trained subset": kb.Subset(mem, in.shard, 2),

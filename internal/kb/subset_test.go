@@ -55,7 +55,7 @@ func TestPartOwnerStable(t *testing.T) {
 func TestSubsetPartition(t *testing.T) {
 	src := buildSubsetKB(t)
 	const n = 4
-	shards := make([]Store, n)
+	shards := make([]*Memory, n)
 	total, bundles := 0, 0
 	for i := 0; i < n; i++ {
 		shards[i] = Subset(src, i, n)

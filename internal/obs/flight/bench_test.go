@@ -3,36 +3,9 @@ package flight
 import (
 	"io"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
-
-// BenchmarkObserveLatencyDisabled is the serving hot path with the flight
-// recorder off (nil *Recorder): the cost every request pays when nothing
-// is being recorded. Must stay 0 allocs/op.
-func BenchmarkObserveLatencyDisabled(b *testing.B) {
-	var r *Recorder
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.ObserveLatency(42 * time.Millisecond)
-	}
-}
-
-// BenchmarkObserveLatencyEnabled is the same path with the SLO watchdog
-// armed: one mutex and a bucket increment, no allocation.
-func BenchmarkObserveLatencyEnabled(b *testing.B) {
-	r := New(Config{
-		Clock:     func() time.Time { return time.Unix(0, 0) },
-		SLOTarget: 100 * time.Millisecond,
-		Logger:    obs.NewLogger(io.Discard, obs.LevelError),
-	})
-	defer r.Close()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.ObserveLatency(42 * time.Millisecond)
-	}
-}
 
 // BenchmarkGuardBeatDisabled is the pipeline per-document heartbeat with
 // recording off — a nil check only.

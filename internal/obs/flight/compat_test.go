@@ -11,7 +11,8 @@ import (
 // TestReadBundleAcceptsPR5DirectoryBundle: a committed PR 5-era
 // directory bundle — written before the requests (PR 8) and profiles
 // (PR 10) sections existed — still loads, renders, and survives a
-// write/read round-trip unchanged, with the newer sections absent.
+// round-trip through today's single-file writer unchanged, with the newer
+// sections absent.
 func TestReadBundleAcceptsPR5DirectoryBundle(t *testing.T) {
 	b, err := ReadBundle(filepath.Join("testdata", "pr5_bundle"))
 	if err != nil {
@@ -35,11 +36,11 @@ func TestReadBundleAcceptsPR5DirectoryBundle(t *testing.T) {
 
 	// Round-trip: re-writing with today's writer and re-reading yields the
 	// identical bundle — the old bundle is not mutated by new code.
-	dir, err := b.WriteDir(t.TempDir())
+	path, err := b.writeFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := ReadBundle(dir)
+	b2, err := ReadBundle(path)
 	if err != nil {
 		t.Fatal(err)
 	}

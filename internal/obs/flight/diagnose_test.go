@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -100,14 +101,31 @@ func TestDebugBundleIsReadOnly(t *testing.T) {
 // section file is an absent section, but one that fails to parse is an
 // error naming the file, not an empty section.
 func TestReadBundleRejectsCorruptSection(t *testing.T) {
-	requests := reqlog.New(reqlog.Config{SampleAll: true})
-	r, _, _, _ := newTestRecorder(t, func(c *Config) { c.Requests = requests })
-	requests.Begin("GET", "/api/recommend").Finish(200, 7, time.Millisecond)
-	bdir := r.Trigger(ReasonPanic)
-	path := filepath.Join(bdir, requestsFile)
-	data, err := os.ReadFile(path)
+	// A copy of the PR 5-era directory bundle, plus a requests section.
+	bdir := t.TempDir()
+	entries, err := os.ReadDir(filepath.Join("testdata", "pr5_bundle"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join("testdata", "pr5_bundle", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(bdir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := json.Marshal([]reqlog.Event{{TraceID: "0000000000000007", Method: "GET", Route: "/api/recommend", Status: 200}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(bdir, requestsFile)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := ReadBundle(bdir); err != nil || len(b.Requests) != 1 {
+		t.Fatalf("intact %s: requests %+v, err %v", requestsFile, b, err)
 	}
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
@@ -156,7 +174,9 @@ func TestByteSizeRendersEveryValue(t *testing.T) {
 
 // TestWriteReportRendersProfiles: the profile section shows goroutine
 // growth, the newest heap deltas, top frames per profile and the breach
-// CPU window; the ring history only when verbose.
+// CPU window; the ring history only when verbose. A bundle that still
+// carries the mutex and block summaries earlier builds wrote decodes,
+// and its report shows neither.
 func TestWriteReportRendersProfiles(t *testing.T) {
 	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	b := &Bundle{Profiles: &prof.Capture{
@@ -169,8 +189,8 @@ func TestWriteReportRendersProfiles(t *testing.T) {
 				Heap: prof.ProfileSummary{Total: 4, TotalBytes: 73728, Top: []prof.Frame{
 					{Func: "repro/internal/kb.Build", Value: 3, Bytes: 71680},
 				}},
-				Mutex: prof.ProfileSummary{Total: 1, Top: []prof.Frame{
-					{Func: "repro/internal/obs.(*Registry).WriteProm", Value: 18718},
+				Goroutine: prof.ProfileSummary{Total: 7, Top: []prof.Frame{
+					{Func: "repro/internal/repl.(*Replica).run", Value: 5},
 				}},
 				HeapDelta: []prof.FrameDelta{{Func: "repro/internal/kb.Build", DeltaBytes: 69632, DeltaValue: 1, NowBytes: 71680}},
 			},
@@ -191,7 +211,8 @@ func TestWriteReportRendersProfiles(t *testing.T) {
 			"+68.0 KiB",
 			"== HEAP IN-USE (top frames) ==",
 			"repro/internal/kb.Build",
-			"== MUTEX CONTENTION (top frames, cycles) ==",
+			"== GOROUTINES (top frames) ==",
+			"repro/internal/repl.(*Replica).run",
 		} {
 			if !strings.Contains(out, want) {
 				t.Errorf("verbose=%v: report missing %q:\n%s", verbose, want, out)
@@ -200,6 +221,22 @@ func TestWriteReportRendersProfiles(t *testing.T) {
 		if got := strings.Contains(out, "== RING HISTORY =="); got != verbose {
 			t.Errorf("verbose=%v: ring history shown = %v:\n%s", verbose, got, out)
 		}
+	}
+
+	old, err := DecodeBundle(strings.NewReader(`{"schema": 1, "profiles": {"ring": [{
+		"heap": {"total": 1, "top": [{"func": "repro/internal/kb.Build", "value": 1}]},
+		"mutex": {"total": 18718, "top": [{"func": "sync.(*Mutex).Unlock", "value": 18718}]},
+		"block": {"total": 3, "top": [{"func": "sync.(*Cond).Wait", "value": 3}]}}]}}`), "mutex-era bundle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report bytes.Buffer
+	if err := WriteReport(&report, old, true); err != nil {
+		t.Fatal(err)
+	}
+	if out := report.String(); !strings.Contains(out, "repro/internal/kb.Build") ||
+		strings.Contains(out, "MUTEX") || strings.Contains(out, "BLOCKING") || strings.Contains(out, "sync.") {
+		t.Fatalf("mutex-era bundle report:\n%s", out)
 	}
 }
 

@@ -63,8 +63,8 @@ func newTestRecorder(t *testing.T, mutate func(*Config)) (*Recorder, *fakeClock,
 	return r, clock, reg, dir
 }
 
-// listBundles returns the bundle directory names under dir, sorted by
-// the directory listing order (names sort chronologically).
+// listBundles returns the bundle file names under dir, sorted by the
+// directory listing order (names sort chronologically).
 func listBundles(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -80,9 +80,25 @@ func listBundles(t *testing.T, dir string) []string {
 	return out
 }
 
-// TestSLOWatchdogTriggersAfterConsecutiveBreaches drives the sliding
-// window with an injected clock: two over-budget windows in a row fire
-// exactly one slo_breach bundle, and a healthy window resets the streak.
+// watchLatency registers a request-duration histogram with the SLO
+// watchdog, as quest.NewServer does, and returns it.
+func watchLatency(r *Recorder, reg *obs.Registry) *obs.Histogram {
+	h := reg.Histogram("quest_http_request_duration_seconds", obs.DefBuckets)
+	r.WatchLatency(h)
+	return h
+}
+
+// observe records n requests of latency d.
+func observe(h *obs.Histogram, n int, d time.Duration) {
+	for i := 0; i < n; i++ {
+		h.Observe(d.Seconds())
+	}
+}
+
+// TestSLOWatchdogTriggersAfterConsecutiveBreaches drives the window over
+// the registered histogram with an injected clock: two over-budget windows
+// in a row fire exactly one slo_breach bundle, and a healthy window resets
+// the streak.
 func TestSLOWatchdogTriggersAfterConsecutiveBreaches(t *testing.T) {
 	r, clock, reg, dir := newTestRecorder(t, func(c *Config) {
 		c.SLOTarget = 100 * time.Millisecond
@@ -90,12 +106,11 @@ func TestSLOWatchdogTriggersAfterConsecutiveBreaches(t *testing.T) {
 		c.SLOBreaches = 2
 		c.SLOMinSamples = 1
 	})
+	h := watchLatency(r, reg)
 	r.Tick(clock.Now()) // arm the first window
 
 	// Window 1: slow. Breach streak 1, no bundle yet.
-	for i := 0; i < 20; i++ {
-		r.ObserveLatency(500 * time.Millisecond)
-	}
+	observe(h, 20, 500*time.Millisecond)
 	r.Tick(clock.Advance(10 * time.Second))
 	if got := listBundles(t, dir); len(got) != 0 {
 		t.Fatalf("bundle fired after a single breach window: %v", got)
@@ -105,21 +120,17 @@ func TestSLOWatchdogTriggersAfterConsecutiveBreaches(t *testing.T) {
 	}
 
 	// Window 2: fast. Streak resets.
-	r.ObserveLatency(time.Millisecond)
+	observe(h, 1, time.Millisecond)
 	r.Tick(clock.Advance(10 * time.Second))
 
 	// Windows 3+4: slow twice in a row → exactly one bundle.
-	for i := 0; i < 20; i++ {
-		r.ObserveLatency(500 * time.Millisecond)
-	}
+	observe(h, 20, 500*time.Millisecond)
 	r.Tick(clock.Advance(10 * time.Second))
-	for i := 0; i < 20; i++ {
-		r.ObserveLatency(500 * time.Millisecond)
-	}
+	observe(h, 20, 500*time.Millisecond)
 	r.Tick(clock.Advance(10 * time.Second))
 
 	bundles := listBundles(t, dir)
-	if len(bundles) != 1 || !strings.HasSuffix(bundles[0], "-slo_breach") {
+	if len(bundles) != 1 || !strings.HasSuffix(bundles[0], "-slo_breach.json") {
 		t.Fatalf("bundles = %v, want one slo_breach", bundles)
 	}
 	b, err := ReadBundle(filepath.Join(dir, bundles[0]))
@@ -140,25 +151,22 @@ func TestSLOWatchdogTriggersAfterConsecutiveBreaches(t *testing.T) {
 // TestSLOQuietWindowNeitherBreachesNorResets: a window with too few
 // samples is skipped — the breach streak carries across it.
 func TestSLOQuietWindowNeitherBreachesNorResets(t *testing.T) {
-	r, clock, _, dir := newTestRecorder(t, func(c *Config) {
+	r, clock, reg, dir := newTestRecorder(t, func(c *Config) {
 		c.SLOTarget = 100 * time.Millisecond
 		c.SLOWindow = 10 * time.Second
 		c.SLOBreaches = 2
 		c.SLOMinSamples = 5
 	})
+	h := watchLatency(r, reg)
 	r.Tick(clock.Now())
 
-	for i := 0; i < 10; i++ {
-		r.ObserveLatency(500 * time.Millisecond)
-	}
+	observe(h, 10, 500*time.Millisecond)
 	r.Tick(clock.Advance(10 * time.Second)) // breach, streak 1
 
-	r.ObserveLatency(time.Millisecond) // 1 sample < SLOMinSamples: quiet
+	observe(h, 1, time.Millisecond) // 1 sample < SLOMinSamples: quiet
 	r.Tick(clock.Advance(10 * time.Second))
 
-	for i := 0; i < 10; i++ {
-		r.ObserveLatency(500 * time.Millisecond)
-	}
+	observe(h, 10, 500*time.Millisecond)
 	r.Tick(clock.Advance(10 * time.Second)) // breach, streak 2 → trigger
 
 	if got := listBundles(t, dir); len(got) != 1 {
@@ -183,7 +191,7 @@ func TestStallGuardFiresOnceAndBeatRearms(t *testing.T) {
 	r.Tick(clock.Advance(45 * time.Second)) // 75s since heartbeat
 	r.Tick(clock.Advance(10 * time.Second)) // still stalled — must not re-fire
 	bundles := listBundles(t, dir)
-	if len(bundles) != 1 || !strings.HasSuffix(bundles[0], "-stall") {
+	if len(bundles) != 1 || !strings.HasSuffix(bundles[0], "-stall.json") {
 		t.Fatalf("bundles = %v, want exactly one stall", bundles)
 	}
 	b, err := ReadBundle(filepath.Join(dir, bundles[0]))
@@ -220,7 +228,7 @@ func TestGoroutineSpikeLatches(t *testing.T) {
 	n = 150
 	r.Tick(clock.Advance(time.Second))
 	r.Tick(clock.Advance(time.Second)) // latched
-	if got := listBundles(t, dir); len(got) != 1 || !strings.HasSuffix(got[0], "-goroutine_spike") {
+	if got := listBundles(t, dir); len(got) != 1 || !strings.HasSuffix(got[0], "-goroutine_spike.json") {
 		t.Fatalf("bundles = %v, want one goroutine_spike", got)
 	}
 	n = 50
@@ -283,10 +291,10 @@ func getBundle(t *testing.T, r *Recorder, path string) *Bundle {
 	return b
 }
 
-// TestBundleRoundTripDirAndJSON: both serializations carry every
-// section — the directory a Trigger writes, and the single JSON document
-// GET /debug/bundle answers, saved to a file — with spans, logs,
-// metrics, and extras intact.
+// TestBundleRoundTripDirAndJSON: both ways a bundle leaves the recorder
+// carry every section — the file a Trigger writes, and the document GET
+// /debug/bundle answers, saved to a file — with spans, logs, metrics, and
+// extras intact.
 func TestBundleRoundTripDirAndJSON(t *testing.T) {
 	r, clock, reg, dir := newTestRecorder(t, func(c *Config) {})
 	r.AddInfo("reldb", func() map[string]string {
@@ -301,11 +309,11 @@ func TestBundleRoundTripDirAndJSON(t *testing.T) {
 	reg.Counter("qatk_pipeline_documents_total").Add(3)
 	r.Tick(clock.Advance(time.Second))
 
-	bdir := r.Trigger(ReasonPanic, obs.L("value", "test"))
-	if bdir == "" {
-		t.Fatal("no bundle dir written")
+	path := r.Trigger(ReasonPanic, obs.L("value", "test"))
+	if path == "" {
+		t.Fatal("no bundle file written")
 	}
-	fromDir, err := ReadBundle(bdir)
+	fromDir, err := ReadBundle(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,6 +360,56 @@ func TestBundleRoundTripDirAndJSON(t *testing.T) {
 	}
 }
 
+// TestMetricHistoryKeepsExemplarBuckets: a histogram bucket that carries
+// an OpenMetrics exemplar is captured under its own series name with its
+// count, and no series key swallows an exemplar.
+func TestMetricHistoryKeepsExemplarBuckets(t *testing.T) {
+	r, clock, reg, _ := newTestRecorder(t, nil)
+	h := reg.Histogram("quest_http_request_duration_seconds", obs.DefBuckets)
+	h.Observe(0.003)
+	h.Observe(0.004)
+	h.Exemplar(0.004, "00000000000000aa", clock.Now())
+	r.Tick(clock.Advance(time.Second))
+
+	b := getBundle(t, r, "/debug/bundle")
+	if len(b.Metrics) != 2 {
+		t.Fatalf("%d metric captures, want the tick's and the view's", len(b.Metrics))
+	}
+	for i, m := range b.Metrics {
+		if got, ok := m.Series[`quest_http_request_duration_seconds_bucket{le="0.005"}`]; !ok || got != 2 {
+			t.Errorf("capture %d: le=0.005 bucket = %v (present %v), want 2", i, got, ok)
+		}
+		for key := range m.Series {
+			if strings.Contains(key, " # ") {
+				t.Errorf("capture %d: series key %q carries an exemplar", i, key)
+			}
+		}
+	}
+}
+
+// TestMetricReadsAreNotScrapes: the watchdog's metric capture and GET
+// /debug/bundle read the registry without scraping it, so the scrape
+// self-instrumentation moves only when the exposition is rendered.
+func TestMetricReadsAreNotScrapes(t *testing.T) {
+	r, clock, reg, _ := newTestRecorder(t, nil)
+	scrapes := reg.Counter(obs.MetricScrapeTotal)
+	scrapeTime := reg.Histogram(obs.MetricScrapeSeconds, obs.ScrapeBuckets)
+	r.Tick(clock.Advance(time.Second))
+	r.Tick(clock.Advance(time.Second))
+	for i := 0; i < 3; i++ {
+		getBundle(t, r, "/debug/bundle")
+	}
+	if scrapes.Value() != 0 || scrapeTime.Count() != 0 {
+		t.Fatalf("2 ticks and 3 GETs counted %d scrapes and timed %d", scrapes.Value(), scrapeTime.Count())
+	}
+	if err := reg.WriteProm(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if scrapes.Value() != 1 || scrapeTime.Count() != 1 {
+		t.Fatalf("a rendered exposition counted %d scrapes and timed %d, want 1 and 1", scrapes.Value(), scrapeTime.Count())
+	}
+}
+
 // TestReadBundleRejectsNewerSchema guards against silently misreading a
 // bundle written by a future build.
 func TestReadBundleRejectsNewerSchema(t *testing.T) {
@@ -390,7 +448,7 @@ func TestRetentionPrunesOldest(t *testing.T) {
 
 // TestHandlerServesParseableBundle: GET /debug/bundle answers a JSON
 // document DecodeBundle reads, with the attachment headers set and no
-// bundle directory named, since none is written.
+// bundle file named, since none is written.
 func TestHandlerServesParseableBundle(t *testing.T) {
 	r, _, _, _ := newTestRecorder(t, func(c *Config) {})
 	rec := httptest.NewRecorder()
@@ -465,7 +523,7 @@ func TestWriteReport(t *testing.T) {
 // TestNilRecorderIsNoOp: the disabled state the hot paths rely on.
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
-	r.ObserveLatency(time.Second)
+	r.WatchLatency(obs.NewRegistry().Histogram("quest_http_request_duration_seconds", obs.DefBuckets))
 	g := r.Guard("anything")
 	g.Beat()
 	g.Stop()

@@ -31,7 +31,7 @@ func NewLogging(level, file string) (*obs.Logger, *obs.RingSink, func(), error) 
 		w = f
 		cleanup = func() { f.Close() }
 	}
-	sink := obs.NewRingSink(w, DefaultLogLines)
+	sink := obs.NewRingSink(w, LogLines)
 	closeAll := func() { sink.Close(); cleanup() }
 	return obs.NewLogger(sink, lvl), sink, closeAll, nil
 }

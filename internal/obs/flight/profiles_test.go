@@ -16,27 +16,18 @@ import (
 
 // Two canned heap profiles whose diff is a single obvious grower, so
 // the bundle's heap delta is deterministic.
-const profHeapA = `heap profile: 1: 4096 [2: 8192] @ heap/1048576
-1: 4096 [2: 8192] @ 0x4a2b10 0x4632c1
-#	0x4a2b0f	repro/internal/kb.Build+0x2ef	/root/repo/internal/kb/kb.go:120
-`
-
-const profHeapB = `heap profile: 3: 147456 [6: 294912] @ heap/1048576
-3: 147456 [6: 294912] @ 0x4a2b10 0x4632c1
-#	0x4a2b0f	repro/internal/kb.Build+0x2ef	/root/repo/internal/kb/kb.go:120
-`
-
-const profGoroutines = `goroutine profile: total 4
-4 @ 0x4632c1
-#	0x4632c0	repro/internal/quest.Serve+0x40	/root/repo/internal/quest/serve.go:10
-`
+var (
+	profHeapA      = []prof.Sample{{Stack: []string{"repro/internal/kb.Build"}, Value: 1, Bytes: 4096}}
+	profHeapB      = []prof.Sample{{Stack: []string{"repro/internal/kb.Build"}, Value: 3, Bytes: 147456}}
+	profGoroutines = []prof.Sample{{Stack: []string{"repro/internal/quest.Serve"}, Value: 4}}
+)
 
 // newTestSampler builds a profiler on canned captures: the CPU bytes
 // name which call produced them, so the test can tell the periodic
 // window from the fresh breach-window capture.
 func newTestSampler(t *testing.T) *prof.Sampler {
 	t.Helper()
-	heaps := []string{profHeapA, profHeapB}
+	heaps := [][]prof.Sample{profHeapA, profHeapB}
 	calls := 0
 	cpuCalls := 0
 	s := prof.New(prof.Config{
@@ -50,16 +41,13 @@ func newTestSampler(t *testing.T) *prof.Sampler {
 			}
 			return []byte("periodic-cpu"), nil
 		},
-		Profile: func(name string) ([]byte, error) {
+		Profile: func(name string) ([]prof.Sample, error) {
 			if name == "heap" {
-				text := heaps[min(calls, len(heaps)-1)]
+				samples := heaps[min(calls, len(heaps)-1)]
 				calls++
-				return []byte(text), nil
+				return samples, nil
 			}
-			if name == "goroutine" {
-				return []byte(profGoroutines), nil
-			}
-			return []byte(""), nil
+			return profGoroutines, nil
 		},
 	})
 	t.Cleanup(s.Close)
@@ -73,13 +61,14 @@ func newTestSampler(t *testing.T) *prof.Sampler {
 // serializations, and the incident report renders the profile.
 func TestSLOBreachBundleCarriesProfiles(t *testing.T) {
 	sampler := newTestSampler(t)
-	r, clock, _, dir := newTestRecorder(t, func(c *Config) {
+	r, clock, reg, dir := newTestRecorder(t, func(c *Config) {
 		c.SLOTarget = 100 * time.Millisecond
 		c.SLOWindow = 10 * time.Second
 		c.SLOBreaches = 1
 		c.SLOMinSamples = 1
 		c.Profiles = sampler
 	})
+	h := watchLatency(r, reg)
 
 	// Two periodic samples so the newest snapshot carries a heap delta.
 	sampler.SampleNow()
@@ -87,13 +76,11 @@ func TestSLOBreachBundleCarriesProfiles(t *testing.T) {
 
 	// One over-budget window fires the breach.
 	r.Tick(clock.Now())
-	for i := 0; i < 20; i++ {
-		r.ObserveLatency(500 * time.Millisecond)
-	}
+	observe(h, 20, 500*time.Millisecond)
 	r.Tick(clock.Advance(10 * time.Second))
 
 	bundles := listBundles(t, dir)
-	if len(bundles) != 1 || !strings.HasSuffix(bundles[0], "-slo_breach") {
+	if len(bundles) != 1 || !strings.HasSuffix(bundles[0], "-slo_breach.json") {
 		t.Fatalf("bundles = %v, want one slo_breach", bundles)
 	}
 	b, err := ReadBundle(filepath.Join(dir, bundles[0]))
@@ -181,7 +168,7 @@ func TestTriggerCapturesCPUOutsideLock(t *testing.T) {
 			<-release
 			return []byte("breach-window-cpu"), nil
 		},
-		Profile: func(string) ([]byte, error) { return nil, nil },
+		Profile: func(string) ([]prof.Sample, error) { return nil, nil },
 	})
 	t.Cleanup(sampler.Close)
 	r, clock, _, dir := newTestRecorder(t, func(c *Config) { c.Profiles = sampler })
@@ -239,7 +226,7 @@ func TestConcurrentTriggersWriteOneAtATime(t *testing.T) {
 			<-release
 			return []byte("breach-window-cpu"), nil
 		},
-		Profile: func(string) ([]byte, error) { return nil, nil },
+		Profile: func(string) ([]prof.Sample, error) { return nil, nil },
 	})
 	t.Cleanup(sampler.Close)
 	r, clock, _, dir := newTestRecorder(t, func(c *Config) {

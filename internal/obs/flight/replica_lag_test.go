@@ -40,7 +40,7 @@ func TestReplicaLagWatchTriggersAfterConsecutiveTicks(t *testing.T) {
 	// The third consecutive breach fires.
 	r.Tick(clock.Advance(time.Second))
 	got := listBundles(t, dir)
-	if len(got) != 1 || !strings.HasSuffix(got[0], "-replica_lag") {
+	if len(got) != 1 || !strings.HasSuffix(got[0], "-replica_lag.json") {
 		t.Fatalf("bundles = %v, want one replica_lag", got)
 	}
 

@@ -147,7 +147,7 @@ func WriteReport(w io.Writer, b *Bundle, verbose bool) error {
 		p.line("%s", strings.TrimRight(b.GoroutineDump, "\n"))
 	} else if b.GoroutineDump != "" {
 		p.head("GOROUTINE DUMP")
-		p.line("  %d bytes captured — rerun with -v to print, or read goroutines.txt in the bundle", len(b.GoroutineDump))
+		p.line("  %d bytes captured — rerun with -v to print", len(b.GoroutineDump))
 	}
 
 	p.line("")
@@ -280,8 +280,6 @@ func (p *printer) profiles(c *prof.Capture) {
 
 	p.topFrames("HEAP IN-USE (top frames)", &last.Heap, true)
 	p.topFrames("GOROUTINES (top frames)", &last.Goroutine, false)
-	p.topFrames("MUTEX CONTENTION (top frames, cycles)", &last.Mutex, false)
-	p.topFrames("BLOCKING (top frames, cycles)", &last.Block, false)
 
 	if p.verbose && len(c.Ring) > 1 {
 		p.head("RING HISTORY")

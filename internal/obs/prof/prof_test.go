@@ -9,76 +9,49 @@ import (
 	"repro/internal/obs"
 )
 
-// Canned debug=1 texts exercising every quirk of the grammar: the
-// header line, heap's four-value samples, the MemStats tail, goroutine
-// label lines, and the mutex preamble.
-const heapTextA = `heap profile: 3: 4096 [10: 20480] @ heap/1048576
-2: 2048 [4: 8192] @ 0x4a2b10 0x4a0f22 0x4632c1
-#	0x4a2b0f	repro/internal/kb.Build+0x2ef	/root/repo/internal/kb/kb.go:120
-#	0x4a0f21	repro/internal/pipeline.Run+0x101	/root/repo/internal/pipeline/run.go:55
-1: 2048 [6: 12288] @ 0x52aa10 0x4632c1
-#	0x52aa0f	runtime.allocm+0x10f	/usr/local/go/src/runtime/proc.go:1932
-#	0x4632c0	repro/internal/quest.Serve+0x40	/root/repo/internal/quest/serve.go:10
+// Canned samples: two heap profiles whose diff has one obvious grower,
+// the second sample of each led by a runtime frame, and a goroutine
+// profile with one goroutine split over two records (as two pprof label
+// sets would split it in the text form) and one pure-runtime stack.
+var (
+	heapA = []Sample{
+		{Stack: []string{"repro/internal/kb.Build", "repro/internal/pipeline.Run"}, Value: 2, Bytes: 2048},
+		{Stack: []string{"runtime.allocm", "repro/internal/quest.Serve"}, Value: 1, Bytes: 2048},
+	}
+	heapB = []Sample{
+		{Stack: []string{"repro/internal/kb.Build", "repro/internal/pipeline.Run"}, Value: 3, Bytes: 71680},
+		{Stack: []string{"runtime.allocm", "repro/internal/quest.Serve"}, Value: 1, Bytes: 2048},
+	}
+	goroutines = []Sample{
+		{Stack: []string{"runtime.gopark", "repro/internal/repl.(*Replica).run", "runtime.goexit"}, Value: 3},
+		{Stack: []string{"runtime.gopark", "repro/internal/repl.(*Replica).run", "runtime.goexit"}, Value: 2},
+		{Stack: []string{"runtime.gopark", "runtime.goexit"}, Value: 2},
+	}
+)
 
-# runtime.MemStats
-# Alloc = 2148304
-# Sys = 12624143
-`
-
-const heapTextB = `heap profile: 4: 73728 [12: 94208] @ heap/1048576
-3: 71680 [5: 81920] @ 0x4a2b10 0x4a0f22 0x4632c1
-#	0x4a2b0f	repro/internal/kb.Build+0x2ef	/root/repo/internal/kb/kb.go:120
-#	0x4a0f21	repro/internal/pipeline.Run+0x101	/root/repo/internal/pipeline/run.go:55
-1: 2048 [7: 12288] @ 0x52aa10 0x4632c1
-#	0x52aa0f	runtime.allocm+0x10f	/usr/local/go/src/runtime/proc.go:1932
-#	0x4632c0	repro/internal/quest.Serve+0x40	/root/repo/internal/quest/serve.go:10
-`
-
-const goroutineText = `goroutine profile: total 7
-5 @ 0x4632c1 0x462f18
-# labels: {"replica":"r0", "role":"apply"}
-#	0x4632c0	repro/internal/repl.(*Replica).run+0x40	/root/repo/internal/repl/replica.go:273
-2 @ 0x46f2a8
-#	0x46f2a7	runtime.gopark+0x107	/usr/local/go/src/runtime/proc.go:381
-`
-
-const mutexText = `--- mutex:
-cycles/second=1000000000
-sampling period=1
-18718 1 @ 0x46df05 0x46f2a8
-#	0x46df04	sync.(*Mutex).Unlock+0x64	/usr/local/go/src/sync/mutex.go:223
-#	0x46f2a7	repro/internal/obs.(*Registry).WriteProm+0x87	/root/repo/internal/obs/metrics.go:357
-`
-
-// cannedProfiles hands out one fixed text per profile name, switching
-// the heap between A and B across calls so deltas are non-trivial.
+// cannedProfiles hands out fixed samples per profile name, switching the
+// heap between A and B across calls so deltas are non-trivial.
 type cannedProfiles struct {
 	mu    sync.Mutex
-	heaps []string
+	heaps [][]Sample
 	calls int
 }
 
-func (c *cannedProfiles) profile(name string) ([]byte, error) {
+func (c *cannedProfiles) profile(name string) ([]Sample, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch name {
-	case "heap":
-		text := c.heaps[min(c.calls, len(c.heaps)-1)]
+	if name == "heap" {
+		samples := c.heaps[min(c.calls, len(c.heaps)-1)]
 		c.calls++
-		return []byte(text), nil
-	case "goroutine":
-		return []byte(goroutineText), nil
-	case "mutex":
-		return []byte(mutexText), nil
-	default: // block
-		return []byte("--- contention:\ncycles/second=1000000000\n"), nil
+		return samples, nil
 	}
+	return goroutines, nil
 }
 
 // newTestSampler builds a sampler on canned profiles and a fake clock.
 func newTestSampler(t *testing.T, mutate func(*Config)) (*Sampler, *obs.Registry) {
 	t.Helper()
-	canned := &cannedProfiles{heaps: []string{heapTextA, heapTextB}}
+	canned := &cannedProfiles{heaps: [][]Sample{heapA, heapB}}
 	now := time.Unix(1700000000, 0)
 	reg := obs.NewRegistry()
 	cfg := Config{
@@ -99,7 +72,7 @@ func newTestSampler(t *testing.T, mutate func(*Config)) (*Sampler, *obs.Registry
 }
 
 func TestSummarizeHeapProfile(t *testing.T) {
-	sum := SummarizeDebugProfile("heap", heapTextA, 10)
+	sum := summarize(heapA, true)
 	if sum.Total != 3 || sum.TotalBytes != 4096 {
 		t.Fatalf("heap totals = %d objs / %d bytes, want 3 / 4096", sum.Total, sum.TotalBytes)
 	}
@@ -107,7 +80,7 @@ func TestSummarizeHeapProfile(t *testing.T) {
 		t.Fatalf("top frames = %d, want 2: %+v", len(sum.Top), sum.Top)
 	}
 	// Leaf attribution skips runtime frames: the second sample lands on
-	// quest.Serve, not runtime.allocm. Equal bytes tie-break by name.
+	// quest.Serve, not runtime.allocm. Equal bytes tie-break by objects.
 	if sum.Top[0].Func != "repro/internal/kb.Build" || sum.Top[0].Bytes != 2048 {
 		t.Fatalf("top[0] = %+v", sum.Top[0])
 	}
@@ -116,27 +89,49 @@ func TestSummarizeHeapProfile(t *testing.T) {
 	}
 }
 
+// TestSummarizeGoroutineProfileCountsAndLabels: records of one leaf, which
+// the text form lists apart when their pprof labels differ, count as one
+// frame, and a pure-runtime stack falls back to its innermost frame.
 func TestSummarizeGoroutineProfileCountsAndLabels(t *testing.T) {
-	sum := SummarizeDebugProfile("goroutine", goroutineText, 10)
+	sum := summarize(goroutines, false)
 	if sum.Total != 7 {
 		t.Fatalf("goroutine total = %d, want 7", sum.Total)
 	}
 	if sum.Top[0].Func != "repro/internal/repl.(*Replica).run" || sum.Top[0].Value != 5 {
 		t.Fatalf("top[0] = %+v", sum.Top[0])
 	}
-	// The pure-runtime stack falls back to its true leaf.
 	if sum.Top[1].Func != "runtime.gopark" || sum.Top[1].Value != 2 {
 		t.Fatalf("top[1] = %+v", sum.Top[1])
 	}
 }
 
-func TestSummarizeMutexProfileSkipsPreamble(t *testing.T) {
-	sum := SummarizeDebugProfile("mutex", mutexText, 10)
-	if sum.Total != 18718 {
-		t.Fatalf("mutex total = %d, want 18718 (cycles)", sum.Total)
-	}
-	if sum.Top[0].Func != "sync.(*Mutex).Unlock" {
-		t.Fatalf("top[0] = %+v", sum.Top[0])
+// TestLeafFuncFollowsTheTextForm: the attribution frame is the one the
+// debug=1 text form leads to — leading runtime. and internal/runtime/
+// frames and runtime.goexit hidden, then the first frame outside
+// runtime. and runtime/.
+func TestLeafFuncFollowsTheTextForm(t *testing.T) {
+	for _, c := range []struct {
+		stack []string
+		want  string
+	}{
+		{[]string{"runtime.mallocgc", "repro/internal/kb.Build"}, "repro/internal/kb.Build"},
+		{[]string{"internal/runtime/maps.newarray", "repro/internal/kb.Build"}, "repro/internal/kb.Build"},
+		{[]string{"runtime.gopark", "runtime.goexit"}, "runtime.gopark"},
+		{[]string{"runtime.gopark", "internal/runtime/syscall.x", "runtime.goexit"}, "internal/runtime/syscall.x"},
+		{[]string{"runtime.x", "runtime/pprof.writeHeap", "main.main"}, "main.main"},
+		{[]string{"runtime/pprof.writeHeap", "runtime.y"}, "runtime/pprof.writeHeap"},
+		// After a frame that did not symbolize, runtime frames print.
+		{[]string{"", "runtime.y", "main.main"}, "main.main"},
+		{[]string{"", "runtime.y"}, "runtime.y"},
+		// Once a frame shows, later internal/runtime/ frames print and lead.
+		{[]string{"runtime/debug.Stack", "internal/runtime/maps.x"}, "internal/runtime/maps.x"},
+		{[]string{"runtime.x", ""}, "(unknown)"},
+		{[]string{"runtime.goexit"}, "(unknown)"},
+		{nil, "(unknown)"},
+	} {
+		if got := leafFunc(c.stack); got != c.want {
+			t.Errorf("leafFunc(%q) = %q, want %q", c.stack, got, c.want)
+		}
 	}
 }
 
@@ -201,8 +196,8 @@ func TestNilSamplerIsNoOp(t *testing.T) {
 }
 
 // TestRealRuntimeProfiles exercises the non-injected capture path once:
-// real heap/goroutine/mutex/block profiles parse and the CPU window
-// produces bytes.
+// real heap and goroutine records summarize and the CPU window produces
+// bytes.
 func TestRealRuntimeProfiles(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Config{

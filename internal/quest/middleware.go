@@ -167,9 +167,10 @@ func (sr *statusRecorder) Unwrap() http.ResponseWriter {
 
 // Instrument wraps a handler with request observability: a trace span per
 // request (method, path, status attributes), a request counter by status
-// code, a latency histogram, and an in-flight gauge. Each request's
-// latency also feeds the flight recorder's SLO sliding window (nil = off).
-// The method and path it records are cut to maxRecordedBytes.
+// code, a latency histogram, and an in-flight gauge. The latency
+// histogram is also what the flight recorder's SLO watchdog windows
+// (NewServer registers it). The method and path it records are cut to
+// maxRecordedBytes.
 // It sits outermost in the chain so that panics recovered further in are
 // still counted with their 500. Nil registry and tracer disable the
 // respective signal.
@@ -181,7 +182,7 @@ func (sr *statusRecorder) Unwrap() http.ResponseWriter {
 // OpenMetrics exemplar carrying the event's trace ID — so a scrape links
 // a tail bucket to a concrete request in the requests section of
 // /debug/bundle.
-func Instrument(reg *obs.Registry, tr *obs.Tracer, fr *flight.Recorder, rl *reqlog.Log, exemplars bool, next http.Handler) http.Handler {
+func Instrument(reg *obs.Registry, tr *obs.Tracer, rl *reqlog.Log, exemplars bool, next http.Handler) http.Handler {
 	inflight := reg.Gauge(MetricHTTPRequestsInflight)
 	duration := reg.Histogram(MetricHTTPRequestDurationSeconds, obs.DefBuckets)
 	// Pre-touch the one series every deployment serves, so the family
@@ -206,7 +207,6 @@ func Instrument(reg *obs.Registry, tr *obs.Tracer, fr *flight.Recorder, rl *reql
 			inflight.Add(-1)
 			elapsed := time.Since(start)
 			duration.Observe(elapsed.Seconds())
-			fr.ObserveLatency(elapsed)
 			reg.Counter(MetricHTTPRequestsTotal, obs.L("code", code)).Inc()
 			span.SetAttr("code", code)
 			span.End(nil)

@@ -185,7 +185,7 @@ func TestInstrumentMiddleware(t *testing.T) {
 		w.WriteHeader(http.StatusTeapot)
 	})
 	rec := httptest.NewRecorder()
-	Instrument(reg, tr, nil, nil, false, inner).ServeHTTP(rec, httptest.NewRequest("GET", "/bundle/R1", nil))
+	Instrument(reg, tr, nil, false, inner).ServeHTTP(rec, httptest.NewRequest("GET", "/bundle/R1", nil))
 
 	if rec.Code != http.StatusTeapot {
 		t.Fatalf("status = %d", rec.Code)
@@ -228,7 +228,7 @@ func TestInstrumentBoundsRecordedPath(t *testing.T) {
 	path := "/" + strings.Repeat("a", 512<<10)
 	req := httptest.NewRequest("GET", path, nil)
 	rec := httptest.NewRecorder()
-	Instrument(nil, tr, nil, rl, false, http.NotFoundHandler()).ServeHTTP(rec, req)
+	Instrument(nil, tr, rl, false, http.NotFoundHandler()).ServeHTTP(rec, req)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404", rec.Code)
 	}
@@ -275,7 +275,7 @@ func TestInstrumentPreservesFlusher(t *testing.T) {
 		}
 	})
 	rec := httptest.NewRecorder()
-	Instrument(obs.NewRegistry(), obs.NewTracer(8), nil, nil, false, inner).ServeHTTP(rec, httptest.NewRequest("GET", "/stream", nil))
+	Instrument(obs.NewRegistry(), obs.NewTracer(8), nil, false, inner).ServeHTTP(rec, httptest.NewRequest("GET", "/stream", nil))
 	if !flushed {
 		t.Fatal("handler never reached Flush")
 	}
@@ -568,5 +568,75 @@ func TestPanicTriggersFlightBundle(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after panic = %d", resp.StatusCode)
+	}
+}
+
+// TestSlowRequestsTripSLOBreach: requests slower than the SLO target,
+// served through NewServer, fill the request-duration histogram that the
+// recorder's SLO watchdog windows, and the tick that closes the window
+// fires an slo_breach bundle. A server without a metrics registry has no
+// histogram, so the same requests fire nothing.
+func TestSlowRequestsTripSLOBreach(t *testing.T) {
+	for _, withMetrics := range []bool{true, false} {
+		db, err := reldb.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		// Only this goroutine ticks the recorder, so its clock needs no lock.
+		now := time.Unix(1700000000, 0)
+		fr := flight.New(flight.Config{
+			Dir:           t.TempDir(),
+			Clock:         func() time.Time { return now },
+			Logger:        obs.NewLogger(io.Discard, obs.LevelError),
+			MinInterval:   -1,
+			SLOTarget:     10 * time.Millisecond,
+			SLOWindow:     10 * time.Second,
+			SLOBreaches:   1,
+			SLOMinSamples: 3,
+		})
+		t.Cleanup(fr.Close)
+		cfg := Config{DB: db, Logger: obs.NewLogger(io.Discard, obs.LevelError), Flight: fr}
+		if withMetrics {
+			cfg.Metrics = obs.NewRegistry()
+		}
+		s, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.mux.HandleFunc("/test/slow", func(http.ResponseWriter, *http.Request) {
+			time.Sleep(30 * time.Millisecond)
+		})
+		ts := httptest.NewServer(s)
+		t.Cleanup(ts.Close)
+
+		fr.Tick(now) // opens the window
+		for i := 0; i < 3; i++ {
+			resp, err := http.Get(ts.URL + "/test/slow")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+		}
+		now = now.Add(10 * time.Second)
+		fr.Tick(now)
+
+		path := fr.LastBundleDir()
+		if !withMetrics {
+			if path != "" {
+				t.Fatalf("without a registry the SLO watchdog fired: %s", path)
+			}
+			continue
+		}
+		if path == "" {
+			t.Fatal("three 30 ms requests against a 10 ms p99 target fired no bundle")
+		}
+		b, err := flight.ReadBundle(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Reason != flight.ReasonSLOBreach || b.Details["target_seconds"] != "0.01" {
+			t.Fatalf("bundle reason=%q details=%v", b.Reason, b.Details)
+		}
 	}
 }

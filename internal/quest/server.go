@@ -59,9 +59,10 @@ type Config struct {
 	Metrics *obs.Registry
 	// Tracer records one span per request. Nil disables request tracing.
 	Tracer *obs.Tracer
-	// Flight is the black-box flight recorder: request latencies feed its
-	// SLO sliding window and recovered panics trigger diagnostic bundles.
-	// Nil disables flight recording.
+	// Flight is the black-box flight recorder: its SLO watchdog windows
+	// the request-duration histogram in Metrics (no registry, no SLO
+	// watchdog) and recovered panics trigger diagnostic bundles. Nil
+	// disables flight recording.
 	Flight *flight.Recorder
 	// Shards is the live recommendation fan-out tier. Nil disables
 	// GET /api/recommend and the per-shard readiness section; the
@@ -119,8 +120,9 @@ func NewServer(cfg Config) (*Server, error) {
 		probes.Handle("/metrics", cfg.Metrics.Handler())
 	}
 	probes.Handle("/", WithTimeout(cfg.RequestTimeout, timeouts, logger, limitBody(s.mux)))
-	s.handler = Instrument(cfg.Metrics, cfg.Tracer, cfg.Flight, cfg.Requests, cfg.Exemplars,
+	s.handler = Instrument(cfg.Metrics, cfg.Tracer, cfg.Requests, cfg.Exemplars,
 		Recover(logger, panics, cfg.Flight, probes))
+	cfg.Flight.WatchLatency(cfg.Metrics.Histogram(MetricHTTPRequestDurationSeconds, obs.DefBuckets))
 	return s, nil
 }
 

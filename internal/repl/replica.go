@@ -45,8 +45,6 @@ type Config struct {
 	PollInterval time.Duration
 	RetryBackoff time.Duration
 	MaxBackoff   time.Duration
-	// MaxBatch bounds frames per ReadWAL call (0 = DefaultMaxBatch).
-	MaxBatch int
 	// Clock is the injected time source (default time.Now); apply lag and
 	// the staleness bound are judged through it.
 	Clock func() time.Time
@@ -105,9 +103,6 @@ func New(cfg Config) (*Replica, error) {
 	}
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = DefaultMaxBackoff
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -399,7 +394,7 @@ func (r *Replica) tailOnce(ctx context.Context) error {
 	r.mu.Lock()
 	gen, offset, db := r.gen, r.offset, r.db
 	r.mu.Unlock()
-	frames, err := r.cfg.Link.ReadWAL(ctx, gen, offset, r.cfg.MaxBatch)
+	frames, err := r.cfg.Link.ReadWAL(ctx, gen, offset, DefaultMaxBatch)
 	if err != nil {
 		return err
 	}
@@ -421,7 +416,7 @@ func (r *Replica) tailOnce(ctx context.Context) error {
 		r.mem = mem
 		r.mu.Unlock()
 	}
-	if len(frames) < r.cfg.MaxBatch {
+	if len(frames) < DefaultMaxBatch {
 		now := r.clock()
 		r.mu.Lock()
 		r.caughtAt = now

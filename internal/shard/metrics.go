@@ -38,9 +38,6 @@ const (
 	MetricShardQueriesInflight = "quest_shard_queries_inflight"
 )
 
-// Span names the router opens, following the PR 3 tracing conventions
-// (one root span per query, one child per shard attempt).
-const (
-	spanShardQuery   = "shard.query"
-	spanShardAttempt = "shard.attempt"
-)
+// spanShardQuery names the one span the router opens per query. A shard
+// attempt is recorded once, as the wide event's reqlog.ShardAttempt.
+const spanShardQuery = "shard.query"

@@ -66,8 +66,8 @@ type Config struct {
 	// replica only serves rescues, with the response flagged stale.
 	MaxApplyLag time.Duration
 	// Observability, all nil-safe: quest_shard_* metrics, one span per
-	// query plus one per attempt, structured failure events, and flight
-	// hard triggers on breaker trips and shard stalls.
+	// query, structured failure events, and flight hard triggers on
+	// breaker trips and shard stalls.
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
 	Logger  *obs.Logger
@@ -278,7 +278,7 @@ func (r *Router) Query(ctx context.Context, partID string, features []string) (*
 
 	sc := reqlog.ClockFrom(ctx)
 	owner := kb.PartOwner(partID, len(r.shards))
-	out, hedged, err := r.queryShard(ctx, span, r.shards[owner], partID, features, false)
+	out, hedged, err := r.queryShard(ctx, r.shards[owner], partID, features, false)
 	res.Hedged = res.Hedged || hedged
 	if err == nil && out.known {
 		res.Replica, res.Stale = out.replica, out.stale
@@ -314,7 +314,7 @@ func (r *Router) Query(ctx context.Context, partID string, features []string) (*
 		}
 		dispatched++
 		go func(i int) {
-			o, hg, e := r.queryShard(ctx, span, r.shards[i], partID, features, true)
+			o, hg, e := r.queryShard(ctx, r.shards[i], partID, features, true)
 			ch <- scatterOut{idx: i, out: o, hedged: hg, err: e}
 		}(i)
 	}
@@ -396,11 +396,11 @@ type attemptOut struct {
 // lags beyond the bound. The breaker records one outcome per sub-query,
 // not per attempt, and a rescue never resets it: the primary is still
 // broken. The bool reports whether a hedged attempt was issued.
-func (r *Router) queryShard(ctx context.Context, parent *obs.Span, h *handle, partID string, features []string, scatter bool) (response, bool, error) {
+func (r *Router) queryShard(ctx context.Context, h *handle, partID string, features []string, scatter bool) (response, bool, error) {
 	h.requests.Inc()
 	// The wide-event builder rides the request context; the breaker state
 	// at admission is read only when request logging is on.
-	q := &subQuery{h: h, parent: parent, partID: partID, features: features, scatter: scatter, rb: reqlog.From(ctx)}
+	q := &subQuery{h: h, partID: partID, features: features, scatter: scatter, rb: reqlog.From(ctx)}
 	if q.rb != nil {
 		q.bstate = h.breaker.State()
 	}

@@ -16,12 +16,10 @@ import (
 	"context"
 	"errors"
 	"runtime/pprof"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/kb"
-	"repro/internal/obs"
 	"repro/internal/obs/reqlog"
 )
 
@@ -55,7 +53,6 @@ var errClosed = errors.New("shard: router closed")
 // it shares.
 type subQuery struct {
 	h        *handle
-	parent   *obs.Span
 	partID   string
 	features []string
 	// scatter selects all-local-nodes ranking for parts no shard owns;
@@ -72,23 +69,20 @@ type subQuery struct {
 // for the primary shard; replica attempts rank over the shard's cut of the
 // replica's knowledge base and never run the fault hook (replication-path
 // faults are injected at the Link). The attempt gets its own deadline
-// (ShardTimeout under ctx), span and wide-event record, and runs under
-// pprof labels (shard ID; primary, hedge or replica role) so CPU profiles
-// attribute serving time per shard and show what hedges cost. The record
-// is written before attempt returns, so a winner is already in the event
-// when the caller marks it.
+// (ShardTimeout under ctx) and wide-event record, the one record of an
+// attempt, and runs under pprof labels (shard ID; primary, hedge or
+// replica role) so CPU profiles attribute serving time per shard and show
+// what hedges cost. The record is written before attempt returns, so a
+// winner is already in the event when the caller marks it.
 func (r *Router) attempt(ctx context.Context, q *subQuery, n int, rv *replicaView) (response, error) {
 	actx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
 	defer cancel()
-	spanLabels := []obs.Label{obs.L("shard", q.h.id), obs.L("attempt", strconv.Itoa(n))}
 	role, replicaID := "primary", ""
 	if rv != nil {
 		role, replicaID = "replica", rv.t.ID()
-		spanLabels = append(spanLabels, obs.L("replica", replicaID))
 	} else if n > 1 {
 		role = "hedge"
 	}
-	span := r.cfg.Tracer.Start(q.parent, spanShardAttempt, spanLabels...)
 	var start time.Time
 	var deadline time.Duration
 	if q.rb != nil {
@@ -126,7 +120,6 @@ func (r *Router) attempt(ctx context.Context, q *subQuery, n int, rv *replicaVie
 		clf := core.Classifier{Store: store, Sim: core.Jaccard{}}
 		out.nodes = clf.RecommendNodesTimed(reqlog.ClockFrom(ctx), q.partID, q.features)
 	})
-	span.End(err)
 	if q.rb != nil {
 		a := reqlog.ShardAttempt{
 			Shard: q.h.idx, Attempt: n, Hedged: n == 2, Replica: replicaID,
