@@ -36,12 +36,13 @@
 //
 // Flight recorder: -flight-dir arms a black-box recorder that retains
 // recent spans, log lines, and metric deltas, and writes a diagnostic
-// bundle (read it with `qatk diagnose <dir>`) when an anomaly fires — the
-// serving p99 exceeding -slo-p99 for consecutive windows, a recovered
-// handler panic, a reldb fsync-failure latch, or a goroutine-count spike.
+// bundle file (read it with `qatk diagnose <file>`) when an anomaly
+// fires — the request-duration histogram's p99 exceeding -slo-p99 for
+// consecutive windows, a recovered handler panic, a reldb fsync-failure
+// latch, or a goroutine-count spike.
 //
 // Continuous profiling: unless -prof-interval is 0, a background sampler
-// captures a CPU window plus heap/mutex/block/goroutine summaries every
+// captures a CPU window plus heap and goroutine summaries every
 // -prof-interval into a -prof-ring sized ring, computing heap deltas
 // between consecutive snapshots. Breach-class flight triggers freeze the
 // ring (plus a fresh breach-window CPU profile) into the bundle's
@@ -172,7 +173,7 @@ func run(o options) error {
 	})
 
 	// The continuous profiler keeps a bounded ring of recent CPU windows
-	// and heap/mutex/block/goroutine summaries so a breach bundle carries
+	// and heap and goroutine summaries so a breach bundle carries
 	// the minutes BEFORE the trigger, not just the moment of capture.
 	var profiler *obsprof.Sampler
 	if o.profInterval > 0 {
