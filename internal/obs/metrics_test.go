@@ -3,6 +3,7 @@ package obs
 import (
 	"io"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -121,21 +122,18 @@ obs_scrape_total 2
 
 // TestHistogramBucketBoundaries: le is inclusive — an observation exactly
 // on a bound lands in that bucket, one epsilon above falls through to the
-// next, and values beyond the last bound only appear in +Inf (the total
-// count).
+// next, and values beyond the last bound land in the overflow bucket,
+// which renders only as +Inf (the total count).
 func TestHistogramBucketBoundaries(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("qatk_pipeline_engine_seconds", []float64{1, 2})
 	h.Observe(1)   // exactly on the first bound → bucket le=1
 	h.Observe(1.5) // → bucket le=2
 	h.Observe(2)   // exactly on the second bound → bucket le=2
-	h.Observe(3)   // beyond every bound → +Inf only
+	h.Observe(3)   // beyond every bound → overflow, +Inf only
 
-	if got := h.counts[0].Load(); got != 1 {
-		t.Errorf("bucket le=1 = %d, want 1", got)
-	}
-	if got := h.counts[1].Load(); got != 2 {
-		t.Errorf("bucket le=2 = %d, want 2", got)
+	if got, want := h.Buckets(), []uint64{1, 2, 1}; !slices.Equal(got, want) {
+		t.Errorf("buckets = %v, want %v", got, want)
 	}
 	if got := h.Count(); got != 4 {
 		t.Errorf("count = %d, want 4", got)
@@ -156,6 +154,49 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		if !strings.Contains(sb.String(), line) {
 			t.Errorf("exposition missing %q:\n%s", line, sb.String())
 		}
+	}
+}
+
+// TestHistogramBucketsNeverDecrease: Buckets read while observations land,
+// in range and past the last bound, never sees a bucket fall below an
+// earlier read of it — the SLO watchdog diffs successive reads — and the
+// final read accounts for every observation.
+func TestHistogramBucketsNeverDecrease(t *testing.T) {
+	const perWriter = 20000
+	h := NewRegistry().Histogram("quest_http_request_duration_seconds", DefBuckets)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				h.Observe(0.002)
+				h.Observe(60)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	prev := h.Buckets()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		now := h.Buckets()
+		for i := range now {
+			if now[i] < prev[i] {
+				t.Fatalf("bucket %d fell from %d to %d", i, prev[i], now[i])
+			}
+		}
+		prev = now
+	}
+	if got, want := prev[len(DefBuckets)], uint64(2*perWriter); got != want {
+		t.Errorf("overflow bucket = %d, want %d", got, want)
+	}
+	if got, want := prev[1], uint64(2*perWriter); got != want {
+		t.Errorf("bucket le=0.005 = %d, want %d", got, want)
 	}
 }
 
