@@ -81,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRank$$' -fuzztime 10s ./internal/kb
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBundle$$' -fuzztime 10s ./internal/obs/flight
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadTaxonomy$$' -fuzztime 10s ./internal/taxonomy
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFlat$$' -fuzztime 10s ./internal/nhtsa
 
 ## golden: run `experiments -small -all` and paper-scale `experiments -all`
 ## and diff their output, wall-clock columns masked, against

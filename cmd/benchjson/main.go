@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -64,7 +65,7 @@ func main() {
 	}
 }
 
-func run(in *os.File, echo *os.File, outPath string, pr int, assertZero string) error {
+func run(in io.Reader, echo io.Writer, outPath string, pr int, assertZero string) error {
 	doc := File{
 		PR:         pr,
 		Go:         runtime.Version(),

@@ -14,6 +14,7 @@ package cas
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -98,6 +99,14 @@ func (c *CAS) Reset(source, text string) {
 	c.tokens = c.tokens[:0]
 	c.concepts = c.concepts[:0]
 	clear(c.metadata)
+}
+
+// Grow makes room in the token and concept layers for at least tokens
+// and concepts more elements. A caller that knows how large its documents
+// run sizes the layers once, instead of letting appends regrow them.
+func (c *CAS) Grow(tokens, concepts int) {
+	c.tokens = slices.Grow(c.tokens, tokens)
+	c.concepts = slices.Grow(c.concepts, concepts)
 }
 
 // Text returns the full document text.

@@ -155,6 +155,26 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestGrow: Grow makes room for the requested elements without changing
+// a layer's contents, and a reset keeps that room.
+func TestGrow(t *testing.T) {
+	c := New("radio dead")
+	if err := c.AddToken(Token{Begin: 0, End: 5, Norm: "radio"}); err != nil {
+		t.Fatal(err)
+	}
+	c.Grow(40, 20)
+	if got := c.Tokens(); len(got) != 1 || got[0].Norm != "radio" || cap(got) < 41 {
+		t.Fatalf("tokens after Grow(40, 20): %+v, cap %d", got, cap(got))
+	}
+	if got := c.Concepts(); len(got) != 0 || cap(got) < 20 {
+		t.Fatalf("concepts after Grow(40, 20): %+v, cap %d", got, cap(got))
+	}
+	c.Reset("mechanic", "fan")
+	if cap(c.Tokens()) < 41 || cap(c.Concepts()) < 20 {
+		t.Fatal("Reset dropped the room Grow made")
+	}
+}
+
 func TestMetadata(t *testing.T) {
 	c := New("x")
 	if c.Metadata("part") != "" {

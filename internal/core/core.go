@@ -104,19 +104,21 @@ func (c *Classifier) RecommendNodesTimed(sc *reqlog.StageClock, partID string, f
 }
 
 // CodesFromNodes collapses a ranked node list to the distinct error codes
-// in rank order, each carrying the score of its best node.
+// in rank order, each carrying the score of its best node. A node's code
+// is looked up among the codes already kept: every caller passes a
+// ranking cut to DefaultNodeCutoff, so the scan is short and needs no set.
 //
 //qatk:hotpath
 func CodesFromNodes(nodes []kb.Scored) []ScoredCode {
-	//qatk:allowalloc the dedup set is per-query workspace, bounded by the node cutoff
-	seen := make(map[string]bool, len(nodes))
 	//qatk:allowalloc the code list is the function's product, returned to the caller and bounded by the node cutoff
 	out := make([]ScoredCode, 0, len(nodes))
+next:
 	for _, sn := range nodes {
-		if seen[sn.Code] {
-			continue
+		for _, c := range out {
+			if c.Code == sn.Code {
+				continue next
+			}
 		}
-		seen[sn.Code] = true
 		out = append(out, ScoredCode{Code: sn.Code, Score: sn.Score})
 	}
 	return out

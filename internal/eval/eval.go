@@ -23,7 +23,8 @@ import (
 	"repro/internal/taxonomy"
 )
 
-// Span names opened by crossValidate (Run, RunAdapted and both baselines).
+// Span names opened by the fold loop (Run, RunAdapted and both
+// baselines): a span per fold, holding a span per variant.
 const (
 	spanVariant = "eval.variant"
 	spanFold    = "eval.fold"
@@ -92,13 +93,15 @@ type Experiment struct {
 	// calling time.Now here): tests substitute a fake to keep results
 	// bit-identical across runs. Nil disables timing.
 	Clock func() time.Time
-	// Tracer records one span per cross-validated variant with a child
-	// span per fold. Nil disables tracing. (The tracer carries its own
-	// clock; spans do not affect the deterministic results.)
+	// Tracer records one span per cross-validation fold with a child
+	// span per variant classified in it. Nil disables tracing. (The
+	// tracer carries its own clock; spans do not affect the
+	// deterministic results.)
 	Tracer *obs.Tracer
-	// Flight is the black-box flight recorder: Run heartbeats a stall
-	// guard per cross-validation fold, so a wedged variant trips the
-	// stall watchdog with fold attribution. Nil disables it.
+	// Flight is the black-box flight recorder: each fold arms a stall
+	// guard per variant, named for the variant and the fold, so a wedged
+	// variant trips the stall watchdog with fold attribution. Nil
+	// disables it.
 	Flight *flight.Recorder
 }
 
@@ -209,8 +212,9 @@ func (e *Experiment) featureSets(tk *qatk.Toolkit, sets [][]bundle.Source) ([][]
 // index, stopping at the first failure. It groups the variants by toolkit
 // configuration and analyses every bundle once per group, for its
 // training features and its features for each distinct test-source set
-// of the group. The group's variants all read those tables, which are
-// dropped before the next group is analysed.
+// of the group. The group's variants all read those tables and the fold
+// knowledge bases built from them, which are dropped before the next
+// group is analysed.
 func (e *Experiment) crossValidateAll(variants []Variant, classifier variantClassifier) ([]*Result, error) {
 	out := make([]*Result, len(variants))
 	for i, v := range variants {
@@ -234,97 +238,150 @@ func (e *Experiment) crossValidateAll(variants []Variant, classifier variantClas
 // share a toolkit configuration, into out.
 func (e *Experiment) crossValidateGroup(variants []Variant, group []int, classifier variantClassifier, out []*Result) error {
 	sets := [][]bundle.Source{bundle.TrainingSources()}
+	vs := make([]Variant, len(group))
 	table := make([]int, len(group)) // each variant's test set, an index into sets
 	for g, i := range group {
-		src := variants[i].testSources()
+		vs[g] = variants[i]
+		src := vs[g].testSources()
 		table[g] = slices.IndexFunc(sets, func(s []bundle.Source) bool { return slices.Equal(s, src) })
 		if table[g] < 0 {
 			table[g] = len(sets)
 			sets = append(sets, src)
 		}
 	}
-	feats, err := e.featureSets(variants[group[0]].toolkit(e.Taxonomy), sets)
+	feats, err := e.featureSets(vs[0].toolkit(e.Taxonomy), sets)
+	if err != nil {
+		return err
+	}
+	tests := make([][][]string, len(group))
+	for g := range group {
+		tests[g] = feats[table[g]]
+	}
+	res, err := e.crossValidate(vs, func([]int) ([][]string, [][][]string, error) {
+		return feats[0], tests, nil
+	}, classifier)
 	if err != nil {
 		return err
 	}
 	for g, i := range group {
-		test := feats[table[g]]
-		out[i], err = e.crossValidate(variants[i], func([]int) ([][]string, [][]string, error) {
-			return feats[0], test, nil
-		}, classifier)
-		if err != nil {
-			return err
-		}
+		out[i] = res[g]
 	}
 	return nil
 }
 
 // foldFeatures returns one fold's features, given the fold's training
 // indexes into Experiment.Bundles: the training features its knowledge
-// base is built from (nil: code frequencies only) and the test features,
-// both indexed like Experiment.Bundles.
-type foldFeatures func(train []int) (trainFeats, testFeats [][]string, err error)
+// base is built from (nil: code frequencies only) and one table of test
+// features per variant of the group, all indexed like
+// Experiment.Bundles.
+type foldFeatures func(train []int) (trainFeats [][]string, testFeats [][][]string, err error)
 
 // foldClassifier ranks held-out bundle idx over one fold's knowledge base
 // and reports how many candidate nodes it scored (0 for the baselines,
 // which score none).
 type foldClassifier func(idx int) (list []core.ScoredCode, candidates int)
 
-// crossValidate is the one fold loop: Run, RunAdapted and both baselines
-// cross-validate through it. For each stratified fold it asks features
-// for the fold's tables, builds the knowledge base from the training
-// bundles' features, asks classifier for v's classifier over it and ranks
-// every held-out bundle. The injected clock is read before and after each
-// fold's classification loop, while the fold's knowledge base and every
-// feature set are live.
-func (e *Experiment) crossValidate(v Variant, features foldFeatures, classifier variantClassifier) (*Result, error) {
-	folds := StratifiedFolds(e.Bundles, e.Folds, e.Seed)
-	res := &Result{Variant: v.Name, Accuracy: AccuracyAtK{}}
-	vspan := e.Tracer.Start(nil, spanVariant, obs.L("variant", v.Name))
-	defer vspan.End(nil)
-	guard := e.Flight.Guard(spanVariant + ":" + v.Name)
-	defer guard.Stop()
-	hits := map[int]int{}
-	total := 0
-	var classifySeconds float64
-	var kbNodes int
-	var candidates int64
+// tally is one variant's cross-validation so far: its hits per cutoff,
+// its test bundles, classification seconds, knowledge-base nodes and
+// candidates summed over the folds run, and each fold's accuracy.
+type tally struct {
+	hits            map[int]int
+	total           int
+	classifySeconds float64
+	kbNodes         int
+	candidates      int64
+	perFold         []AccuracyAtK
+}
 
+// crossValidate is the one fold loop: Run, RunAdapted and both baselines
+// cross-validate through it, each as a group of variants that train on
+// the same features, so their fold knowledge bases are identical. For
+// each stratified fold it builds that knowledge base once; only one
+// fold's is live at a time. It returns each variant's result at its
+// index in vs.
+func (e *Experiment) crossValidate(vs []Variant, features foldFeatures, classifier variantClassifier) ([]*Result, error) {
+	folds := StratifiedFolds(e.Bundles, e.Folds, e.Seed)
+	tallies := make([]tally, len(vs))
+	for g := range tallies {
+		tallies[g].hits = map[int]int{}
+	}
 	for f := 0; f < e.Folds; f++ {
-		guard.Beat()
-		fspan := e.Tracer.Start(vspan, spanFold, obs.L("fold", strconv.Itoa(f)))
-		inTest := make(map[int]bool, len(folds[f]))
-		for _, idx := range folds[f] {
-			inTest[idx] = true
-		}
-		train := make([]int, 0, len(e.Bundles)-len(folds[f]))
-		for i := range e.Bundles {
-			if !inTest[i] {
-				train = append(train, i)
-			}
-		}
-		trainFeats, testFeats, err := features(train)
-		if err != nil {
-			fspan.End(err)
+		if err := e.fold(f, folds[f], vs, features, classifier, tallies); err != nil {
 			return nil, err
 		}
-		mem := kb.NewMemory()
-		for _, i := range train {
-			var feats []string
-			if trainFeats != nil {
-				feats = trainFeats[i]
-			}
-			mem.AddBundle(e.Bundles[i].PartID, e.Bundles[i].ErrorCode, feats)
+	}
+	out := make([]*Result, len(vs))
+	for g, v := range vs {
+		t := &tallies[g]
+		res := &Result{Variant: v.Name, Accuracy: AccuracyAtK{}, PerFold: t.perFold}
+		for _, k := range e.Ks {
+			res.Accuracy[k] = float64(t.hits[k]) / float64(t.total)
 		}
-		kbNodes += mem.NodeCount()
-		classify := classifier(v, mem, testFeats)
+		res.SecPerBundle = t.classifySeconds / float64(t.total)
+		res.TestBundles = t.total / e.Folds
+		res.KBNodes = t.kbNodes / e.Folds
+		res.Comparisons = t.candidates
+		if t.total > 0 {
+			res.CandidateSize = float64(t.candidates) / float64(t.total)
+		}
+		out[g] = res
+	}
+	return out, nil
+}
 
-		foldAcc := AccuracyAtK{}
+// fold runs fold f, whose held-out bundles are test, for every variant of
+// vs into its tally. It asks features for the fold's tables, builds the
+// knowledge base from the training bundles' features, and then, variant
+// by variant, asks classifier for the variant's classifier over it and
+// ranks every held-out bundle. The injected clock is read before and
+// after each variant's classification loop, while the fold's knowledge
+// base and every feature set are live.
+//
+// The fold's span holds one span per variant. Each variant has a stall
+// guard named for it and the fold, armed from the start of the fold,
+// whose shared analysis and build it waits for, to the end of its
+// classification loop.
+func (e *Experiment) fold(f int, test []int, vs []Variant, features foldFeatures, classifier variantClassifier, tallies []tally) (err error) {
+	fspan := e.Tracer.Start(nil, spanFold, obs.L("fold", strconv.Itoa(f)))
+	defer func() { fspan.End(err) }()
+	guards := make([]*flight.Guard, len(vs))
+	for g, v := range vs {
+		guards[g] = e.Flight.Guard(fmt.Sprintf("%s:%s %s:%d", spanVariant, v.Name, spanFold, f))
+		defer guards[g].Stop()
+	}
+	inTest := make([]bool, len(e.Bundles))
+	for _, idx := range test {
+		inTest[idx] = true
+	}
+	train := make([]int, 0, len(e.Bundles)-len(test))
+	for i := range e.Bundles {
+		if !inTest[i] {
+			train = append(train, i)
+		}
+	}
+	trainFeats, testFeats, err := features(train)
+	if err != nil {
+		return err
+	}
+	mem := kb.NewMemory()
+	for _, i := range train {
+		var feats []string
+		if trainFeats != nil {
+			feats = trainFeats[i]
+		}
+		mem.AddBundle(e.Bundles[i].PartID, e.Bundles[i].ErrorCode, feats)
+	}
+	for g, v := range vs {
+		guards[g].Beat()
+		vspan := e.Tracer.Start(fspan, spanVariant, obs.L("variant", v.Name))
+		t := &tallies[g]
+		t.kbNodes += mem.NodeCount()
+		classify := classifier(v, mem, testFeats[g])
 		foldHits := map[int]int{}
 		start := e.now()
-		for _, idx := range folds[f] {
+		for _, idx := range test {
 			list, n := classify(idx)
-			candidates += int64(n)
+			t.candidates += int64(n)
 			r := core.Rank(list, e.Bundles[idx].ErrorCode)
 			for _, k := range e.Ks {
 				if r > 0 && r <= k {
@@ -332,27 +389,18 @@ func (e *Experiment) crossValidate(v Variant, features foldFeatures, classifier 
 				}
 			}
 		}
-		classifySeconds += e.elapsed(start)
-		n := len(folds[f])
-		total += n
+		t.classifySeconds += e.elapsed(start)
+		t.total += len(test)
+		foldAcc := AccuracyAtK{}
 		for _, k := range e.Ks {
-			foldAcc[k] = float64(foldHits[k]) / float64(n)
-			hits[k] += foldHits[k]
+			foldAcc[k] = float64(foldHits[k]) / float64(len(test))
+			t.hits[k] += foldHits[k]
 		}
-		res.PerFold = append(res.PerFold, foldAcc)
-		fspan.End(nil)
+		t.perFold = append(t.perFold, foldAcc)
+		vspan.End(nil)
+		guards[g].Stop()
 	}
-	for _, k := range e.Ks {
-		res.Accuracy[k] = float64(hits[k]) / float64(total)
-	}
-	res.SecPerBundle = classifySeconds / float64(total)
-	res.TestBundles = total / e.Folds
-	res.KBNodes = kbNodes / e.Folds
-	res.Comparisons = candidates
-	if total > 0 {
-		res.CandidateSize = float64(candidates) / float64(total)
-	}
-	return res, nil
+	return nil
 }
 
 // Run cross-validates one variant.
@@ -365,7 +413,8 @@ func (e *Experiment) Run(v Variant) (*Result, error) {
 }
 
 // RunAll cross-validates several variants, stopping at the first failure.
-// Variants that share a toolkit configuration share one analysis pass.
+// Variants that share a toolkit configuration share one analysis pass and
+// one knowledge base per fold.
 func (e *Experiment) RunAll(variants []Variant) ([]*Result, error) {
 	return e.crossValidateAll(variants, e.rank)
 }
@@ -386,7 +435,7 @@ func (e *Experiment) rank(v Variant, mem *kb.Memory, testFeats [][]string) foldC
 // configuration over that taxonomy, for its training and test features.
 func (e *Experiment) RunAdapted(v Variant, adapt func(train []int) (*taxonomy.Taxonomy, error)) (*Result, error) {
 	sets := [][]bundle.Source{bundle.TrainingSources(), v.testSources()}
-	return e.crossValidate(v, func(train []int) ([][]string, [][]string, error) {
+	res, err := e.crossValidate([]Variant{v}, func(train []int) ([][]string, [][][]string, error) {
 		tax, err := adapt(train)
 		if err != nil {
 			return nil, nil, fmt.Errorf("eval: adapt taxonomy: %w", err)
@@ -395,23 +444,27 @@ func (e *Experiment) RunAdapted(v Variant, adapt func(train []int) (*taxonomy.Ta
 		if err != nil {
 			return nil, nil, err
 		}
-		return feats[0], feats[1], nil
+		return feats[0], feats[1:], nil
 	}, e.rank)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // RunFrequencyBaseline evaluates the code-frequency baseline (§5.1). It
 // only needs frequencies, so the fold knowledge bases carry no features.
 func (e *Experiment) RunFrequencyBaseline() *Result {
 	// Without analysis nothing can fail.
-	res, _ := e.crossValidate(Variant{Name: "code frequency baseline"}, func([]int) ([][]string, [][]string, error) {
-		return nil, nil, nil
+	res, _ := e.crossValidate([]Variant{{Name: "code frequency baseline"}}, func([]int) ([][]string, [][][]string, error) {
+		return nil, [][][]string{nil}, nil
 	}, func(_ Variant, mem *kb.Memory, _ [][]string) foldClassifier {
 		bl := baseline.CodeFrequency{Store: mem}
 		return func(idx int) ([]core.ScoredCode, int) {
 			return bl.Recommend(e.Bundles[idx].PartID), 0
 		}
 	})
-	return res
+	return res[0]
 }
 
 // RunCandidateSetBaseline evaluates the unsorted candidate-set baseline for

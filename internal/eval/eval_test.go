@@ -1,13 +1,21 @@
 package eval
 
 import (
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/kb"
+	"repro/internal/obs"
+	"repro/internal/obs/flight"
 )
 
 // mediumCorpus is big enough for the experiment shapes to be visible but
@@ -429,5 +437,94 @@ func TestStdDev(t *testing.T) {
 	}
 	if (&Result{PerFold: []AccuracyAtK{{1: 0.5}}}).StdDev(1) != 0 {
 		t.Fatal("stddev of one fold should be 0")
+	}
+}
+
+// TestFoldSpansAndStallGuards: a cross-validation of two variants that
+// share a toolkit opens one eval.fold span per fold, each holding an
+// eval.variant span per variant, and a variant stalled in a fold trips
+// one stall, whose guard names the variant and the fold.
+func TestFoldSpansAndStallGuards(t *testing.T) {
+	c := smallCorpus(t)
+	e := New(c.Taxonomy, c.Bundles)
+	e.Clock = nil
+	now := time.Unix(1_700_000_000, 0)
+	dir := t.TempDir()
+	rec := flight.New(flight.Config{
+		Dir:            dir,
+		Clock:          func() time.Time { return now },
+		Logger:         obs.NewLogger(io.Discard, obs.LevelError),
+		StallDeadline:  time.Minute,
+		GoroutineLimit: -1,
+		MinInterval:    -1,
+	})
+	defer rec.Close()
+	e.Tracer = obs.NewTracer(64)
+	e.Flight = rec
+	variants := StandardVariants()[2:]
+
+	// The classifier of the second variant in fold 2 (the sixth built)
+	// stalls at its first bundle: the clock passes the deadline and the
+	// watchdog ticks.
+	built := 0
+	classifier := func(v Variant, mem *kb.Memory, testFeats [][]string) foldClassifier {
+		clf := e.rank(v, mem, testFeats)
+		if built++; built != 2*len(variants)+2 {
+			return clf
+		}
+		stalled := false
+		return func(idx int) ([]core.ScoredCode, int) {
+			if !stalled {
+				stalled = true
+				now = now.Add(2 * time.Minute)
+				rec.Tick(now)
+			}
+			return clf(idx)
+		}
+	}
+	if _, err := e.crossValidateAll(variants, classifier); err != nil {
+		t.Fatal(err)
+	}
+
+	folds := map[uint64]string{}
+	var nested []string
+	spans := e.Tracer.Snapshot()
+	for _, s := range spans {
+		if s.Name == spanFold && s.ParentID == 0 {
+			folds[s.SpanID] = s.Attrs[0].Value
+		}
+	}
+	for _, s := range spans {
+		if s.Name == spanVariant {
+			nested = append(nested, folds[s.ParentID]+" "+s.Attrs[0].Value)
+		}
+	}
+	slices.Sort(nested)
+	var want []string
+	for f := 0; f < e.Folds; f++ {
+		for _, v := range variants {
+			want = append(want, strconv.Itoa(f)+" "+v.Name)
+		}
+	}
+	if len(folds) != e.Folds || !slices.Equal(nested, want) {
+		t.Errorf("fold spans %v holding variant spans %q, want %d folds holding %q", folds, nested, e.Folds, want)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var guards []string
+	for _, entry := range entries {
+		b, err := flight.ReadBundle(filepath.Join(dir, entry.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Reason == flight.ReasonStall {
+			guards = append(guards, b.Details["guard"])
+		}
+	}
+	if want := []string{"eval.variant:bag-of-concepts + overlap eval.fold:2"}; !slices.Equal(guards, want) {
+		t.Errorf("stalls named guards %q, want %q", guards, want)
 	}
 }

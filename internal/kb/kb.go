@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -48,8 +49,8 @@ func CompareScored(a, b Scored) int {
 	if a.Score != b.Score {
 		return cmp.Compare(b.Score, a.Score)
 	}
-	if a.Code != b.Code {
-		return cmp.Compare(a.Code, b.Code)
+	if c := strings.Compare(a.Code, b.Code); c != 0 {
+		return c
 	}
 	return cmp.Compare(a.ID, b.ID)
 }
@@ -216,11 +217,20 @@ func (m *Memory) KnownPart(partID string) bool {
 
 // scratch is one query's workspace: a shared-feature count per node index,
 // zero between queries; the node indexes the query touched, in first-touch
-// order; and the query's feature IDs.
+// order; the query's feature IDs; and the ranking under selection, which
+// Rank grows to the largest cut it has served.
 type scratch struct {
 	shared  []int32
 	touched []int32
 	query   []int32
+	top     []ranked
+}
+
+// ranked is a node under selection: its index and its score. The
+// selection orders these and makes a Scored only of each node it keeps.
+type ranked struct {
+	score float64
+	idx   int32
 }
 
 // scratchPool recycles query workspaces across every Memory. It is a
@@ -318,7 +328,8 @@ func (m *Memory) Candidates(partID string, features []string) []*Node {
 // touched, keeping the cut best by bounded insertion. For an unknown part
 // every node is a candidate: the nodes that share nothing score 0 under
 // Scorer's contract and take the places left, in (code, ID) order, without
-// being scored.
+// being scored. The selection moves (score, index) pairs in the pooled
+// workspace; only the nodes kept become Scored values.
 //
 //qatk:hotpath
 func (m *Memory) Rank(partID string, features []string, sim Scorer, cut int) ([]Scored, int) {
@@ -331,45 +342,77 @@ func (m *Memory) Rank(partID string, features []string, sim Scorer, cut int) ([]
 	if !known {
 		candidates = len(m.nodes)
 	}
-	//qatk:allowalloc the ranking is the function's product, at most cut nodes long
-	out := make([]Scored, 0, min(max(cut, 0), candidates))
+	cut = min(max(cut, 0), candidates)
+	if cap(s.top) < cut {
+		//qatk:allowalloc the pooled ranking grows to the largest cut its workspace has served
+		s.top = make([]ranked, 0, cut)
+	}
+	top := s.top[:0]
 	for _, idx := range s.touched[:touched] {
 		n := m.nodes[idx]
-		out = offer(out, Scored{ID: n.ID, Code: n.ErrorCode,
-			Score: sim.Score(int(s.shared[idx]), len(features), len(n.Features))})
+		score := sim.Score(int(s.shared[idx]), len(features), len(n.Features))
+		// Once the ranking is full, most nodes score below its worst.
+		if len(top) == cut && (cut == 0 || score < top[cut-1].score) {
+			continue
+		}
+		top = m.offer(top, cut, ranked{score, idx})
 	}
 	// A node that shares nothing scores 0, so it can only take a place
 	// that is free or held by a node scoring 0 too.
-	if !known && cap(out) > 0 && (len(out) < cap(out) || out[len(out)-1].Score <= 0) {
-		for idx, n := range m.nodes {
+	if !known && cut > 0 && (len(top) < cut || top[len(top)-1].score <= 0) {
+		for idx := range m.nodes {
 			if s.shared[idx] == 0 {
-				out = offer(out, Scored{ID: n.ID, Code: n.ErrorCode})
+				top = m.offer(top, cut, ranked{idx: int32(idx)})
 			}
 		}
+	}
+	//qatk:allowalloc the ranking is the function's product, at most cut nodes long
+	out := make([]Scored, len(top))
+	for i, r := range top {
+		n := m.nodes[r.idx]
+		out[i] = Scored{ID: n.ID, Code: n.ErrorCode, Score: r.score}
 	}
 	release(s, touched)
 	return out, candidates
 }
 
-// offer inserts c into out, a ranking in CompareScored order holding at
-// most cap(out) nodes; when out is full the worst node drops out, or c
-// does not get in.
-func offer(out []Scored, c Scored) []Scored {
-	n := len(out)
-	if n == cap(out) {
-		if n == 0 || CompareScored(c, out[n-1]) >= 0 {
-			return out
+// offer inserts c into top, a ranking in CompareScored order holding at
+// most cut nodes; when top is full the worst node drops out, or c does
+// not get in.
+func (m *Memory) offer(top []ranked, cut int, c ranked) []ranked {
+	n := len(top)
+	if n == cut {
+		if n == 0 || !m.before(c, top[n-1]) {
+			return top
 		}
 		n--
 	}
+	// top is in order, so c goes after every node scoring more and among
+	// the nodes it ties with by code and ID.
 	i := n
-	for i > 0 && CompareScored(c, out[i-1]) < 0 {
+	for i > 0 && top[i-1].score < c.score {
 		i--
 	}
-	out = out[:n+1]
-	copy(out[i+1:], out[i:n])
-	out[i] = c
-	return out
+	for i > 0 && top[i-1].score == c.score && m.before(c, top[i-1]) {
+		i--
+	}
+	top = top[:n+1]
+	copy(top[i+1:], top[i:n])
+	top[i] = c
+	return top
+}
+
+// before reports whether a ranks before b under CompareScored: by score,
+// then by their nodes' error codes and IDs.
+func (m *Memory) before(a, b ranked) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	na, nb := m.nodes[a.idx], m.nodes[b.idx]
+	if c := strings.Compare(na.ErrorCode, nb.ErrorCode); c != 0 {
+		return c < 0
+	}
+	return na.ID < nb.ID
 }
 
 // AllNodes returns every node (the unknown-part candidate set and

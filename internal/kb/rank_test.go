@@ -216,7 +216,8 @@ func sameRanking(a, b []kb.Scored) bool {
 // TestRankAllocatesOnlyItsResult pins Rank's allocation contract: once the
 // pooled workspace is warm, ranking a known part or scattering over an
 // unknown one allocates the returned slice and nothing else, and so does
-// the classifier built on it.
+// the classifier built on it. Recommend allocates its two results: the
+// node ranking and the code list collapsed from it.
 func TestRankAllocatesOnlyItsResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop workspaces at random")
@@ -235,6 +236,9 @@ func TestRankAllocatesOnlyItsResult(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(200, func() { clf.RecommendNodes(part, query) }); allocs != 1 {
 			t.Errorf("RecommendNodes(%s): %v allocations per call, want 1 (its result)", part, allocs)
+		}
+		if allocs := testing.AllocsPerRun(200, func() { clf.Recommend(part, query) }); allocs != 2 {
+			t.Errorf("Recommend(%s): %v allocations per call, want 2 (the node ranking and the code list)", part, allocs)
 		}
 	}
 }
@@ -284,4 +288,45 @@ func TestRankConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestCompareScoredOrdersCodesAsStrings: among equal scores, codes sort
+// byte-wise, so a code sorts right after its prefixes ("E1", then "E10",
+// then "E2"), and equal codes sort by node ID. FuzzRank's codes all have
+// one length, so it cannot tell this order from a numeric one. Rank must
+// keep the same order.
+func TestCompareScoredOrdersCodesAsStrings(t *testing.T) {
+	want := []kb.Scored{
+		{ID: 6, Code: "E9", Score: 0.75},
+		{ID: 3, Code: "E1", Score: 0.5},
+		{ID: 2, Code: "E10", Score: 0.5},
+		{ID: 4, Code: "E10", Score: 0.5},
+		{ID: 1, Code: "E2", Score: 0.5},
+		{ID: 5, Code: "E1", Score: 0.25},
+	}
+	for i, a := range want {
+		if c := kb.CompareScored(a, a); c != 0 {
+			t.Errorf("CompareScored(%v, itself) = %d, want 0", a, c)
+		}
+		for _, b := range want[i+1:] {
+			if c := kb.CompareScored(a, b); c >= 0 {
+				t.Errorf("CompareScored(%v, %v) = %d, want < 0", a, b, c)
+			}
+			if c := kb.CompareScored(b, a); c <= 0 {
+				t.Errorf("CompareScored(%v, %v) = %d, want > 0", b, a, c)
+			}
+		}
+	}
+
+	// Every node shares f1 with the query and carries one feature more,
+	// so all four tie at Jaccard 1/2. They are added out of order.
+	mem := kb.NewMemory()
+	mem.AddBundle("P", "E2", []string{"f1", "f2"})
+	mem.AddBundle("P", "E10", []string{"f1", "f3"})
+	mem.AddBundle("P", "E1", []string{"f1", "f4"})
+	mem.AddBundle("P", "E10", []string{"f1", "f5"})
+	got, _ := mem.Rank("P", []string{"f1"}, core.Jaccard{}, 3)
+	if !sameRanking(got, want[1:4]) {
+		t.Errorf("Rank = %v, want %v", got, want[1:4])
+	}
 }

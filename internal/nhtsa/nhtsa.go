@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/datagen"
@@ -134,21 +135,35 @@ func pickStr(rng *rand.Rand, items []string) string { return items[rng.Intn(len(
 
 // --- flat-file I/O -------------------------------------------------------
 
-// WriteFlat writes complaints in the ODI tab-separated layout subset.
+// WriteFlat writes complaints in the ODI tab-separated layout subset, one
+// line per complaint, so that ReadFlat reads back what it wrote. A tab or
+// line break inside the free text becomes a space. The make, model and
+// component name things and cannot hold one: WriteFlat then writes
+// nothing and returns an error.
 func WriteFlat(w io.Writer, complaints []Complaint) error {
+	for _, c := range complaints {
+		for _, field := range []string{c.Make, c.Model, c.Component} {
+			if strings.ContainsAny(field, "\t\r\n") {
+				return fmt.Errorf("nhtsa: complaint %d: %q holds a tab or line break", c.ODINumber, field)
+			}
+		}
+	}
+	// The replacer works on bytes, so invalid UTF-8 in the text survives.
+	flat := strings.NewReplacer("\t", " ", "\r", " ", "\n", " ")
 	bw := bufio.NewWriter(w)
 	for _, c := range complaints {
-		// Tabs inside the free text would break the format.
-		desc := strings.ReplaceAll(c.CDescr, "\t", " ")
 		if _, err := fmt.Fprintf(bw, "%d\t%s\t%s\t%d\t%s\t%s\n",
-			c.ODINumber, c.Make, c.Model, c.Year, c.Component, desc); err != nil {
+			c.ODINumber, c.Make, c.Model, c.Year, c.Component, flat.Replace(c.CDescr)); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadFlat parses the tab-separated layout written by WriteFlat.
+// ReadFlat parses the tab-separated layout written by WriteFlat. Lines
+// end in "\n" or "\r\n"; blank lines are skipped. A carriage return
+// inside a line, a record without exactly six fields and a number with
+// anything but digits after an optional sign are errors.
 func ReadFlat(r io.Reader) ([]Complaint, error) {
 	var out []Complaint
 	sc := bufio.NewScanner(r)
@@ -160,18 +175,21 @@ func ReadFlat(r io.Reader) ([]Complaint, error) {
 		if strings.TrimSpace(text) == "" {
 			continue
 		}
+		if strings.ContainsRune(text, '\r') {
+			return nil, fmt.Errorf("nhtsa: line %d: carriage return inside the line", line)
+		}
 		parts := strings.Split(text, "\t")
 		if len(parts) != 6 {
 			return nil, fmt.Errorf("nhtsa: line %d: %d fields, want 6", line, len(parts))
 		}
-		var c Complaint
-		if _, err := fmt.Sscanf(parts[0], "%d", &c.ODINumber); err != nil {
+		c := Complaint{Make: parts[1], Model: parts[2], Component: parts[4], CDescr: parts[5]}
+		var err error
+		if c.ODINumber, err = strconv.ParseInt(parts[0], 10, 64); err != nil {
 			return nil, fmt.Errorf("nhtsa: line %d: bad ODI number %q", line, parts[0])
 		}
-		if _, err := fmt.Sscanf(parts[3], "%d", &c.Year); err != nil {
+		if c.Year, err = strconv.Atoi(parts[3]); err != nil {
 			return nil, fmt.Errorf("nhtsa: line %d: bad year %q", line, parts[3])
 		}
-		c.Make, c.Model, c.Component, c.CDescr = parts[1], parts[2], parts[4], parts[5]
 		out = append(out, c)
 	}
 	if err := sc.Err(); err != nil {

@@ -2,6 +2,7 @@ package nhtsa
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,6 +113,79 @@ func TestReadFlatErrors(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Errorf("blank lines: %v, %v", got, err)
 	}
+	for _, line := range []string{
+		"12abc\tA\tB\t2010\tC\tD\n", // trailing text after the ODI number
+		"1\tA\tB\t2015x\tC\tD\n",    // trailing text after the year
+		"1\tA\r\tB\t2010\tC\tD\n",   // a carriage return inside the line
+	} {
+		if got, err := ReadFlat(strings.NewReader(line)); err == nil {
+			t.Errorf("ReadFlat(%q) = %+v, want an error", line, got)
+		}
+	}
+}
+
+// TestWriteFlatWritesWhatReadFlatReads: every complaint WriteFlat writes
+// comes back from ReadFlat, with a tab or line break in the free text read
+// as a space, and a complaint whose make, model or component holds one is
+// refused before anything is written.
+func TestWriteFlatWritesWhatReadFlatReads(t *testing.T) {
+	base := Complaint{ODINumber: 10000001, Make: "OEM", Model: "ALPHA", Year: 2012, Component: "P-17", CDescr: "RADIO DEAD"}
+	for _, tc := range []struct {
+		name, descr, want string
+	}{
+		{"line feed", "RADIO\nDEAD", "RADIO DEAD"},
+		{"CRLF", "RADIO\r\nDEAD", "RADIO  DEAD"},
+		{"trailing carriage return", "RADIO DEAD\r", "RADIO DEAD "},
+		{"tab", "RADIO\tDEAD", "RADIO DEAD"},
+		{"invalid UTF-8", "RADIO \xff DEAD", "RADIO \xff DEAD"},
+	} {
+		c := base
+		c.CDescr = tc.descr
+		var buf bytes.Buffer
+		if err := WriteFlat(&buf, []Complaint{c, base}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := ReadFlat(&buf)
+		if err != nil {
+			t.Fatalf("%s: reading back %q: %v", tc.name, buf.String(), err)
+		}
+		c.CDescr = tc.want
+		if len(got) != 2 || got[0] != c || got[1] != base {
+			t.Errorf("%s: read back %+v, want [%+v %+v]", tc.name, got, c, base)
+		}
+	}
+	for _, bad := range []Complaint{
+		{ODINumber: 1, Make: "O\tEM", Model: "ALPHA", Year: 2012, Component: "P"},
+		{ODINumber: 2, Make: "OEM", Model: "AL\nPHA", Year: 2012, Component: "P"},
+		{ODINumber: 3, Make: "OEM", Model: "ALPHA", Year: 2012, Component: "P\r"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteFlat(&buf, []Complaint{base, bad}); err == nil || buf.Len() != 0 {
+			t.Errorf("WriteFlat(%+v): error %v, wrote %q; want an error and nothing written", bad, err, buf.String())
+		}
+	}
+}
+
+// FuzzReadFlat: no input makes ReadFlat panic, and every complaint list it
+// accepts comes back unchanged through WriteFlat and ReadFlat.
+func FuzzReadFlat(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadFlat(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFlat(&buf, got); err != nil {
+			t.Fatalf("WriteFlat of what ReadFlat accepted: %v\ninput %q", err, data)
+		}
+		again, err := ReadFlat(&buf)
+		if err != nil {
+			t.Fatalf("ReadFlat of what WriteFlat wrote (%q): %v", buf.String(), err)
+		}
+		if !slices.Equal(again, got) {
+			t.Fatalf("round trip changed the complaints:\n got %+v\nwant %+v", again, got)
+		}
+	})
 }
 
 func TestRelationalRoundTrip(t *testing.T) {

@@ -139,12 +139,24 @@ func (t *Toolkit) Features(b *bundle.Bundle, sources []bundle.Source) ([]string,
 // segment boundary.
 //
 // One CAS serves every report of the call: each report resets it, which
-// keeps its layers' capacity and shares the report's text. Nothing of it
-// outlives the call.
+// keeps its layers' capacity and shares the report's text. Its layers are
+// sized once, before the first report, for the longest report the call
+// analyses. Nothing of it outlives the call.
 func (t *Toolkit) FeatureSets(b *bundle.Bundle, sets ...[]bundle.Source) ([][]string, error) {
 	var buf [8]report // a bundle has at most one report per source
 	reports := buf[:0]
+	longest := 0
+	for _, set := range sets {
+		for _, s := range set {
+			longest = max(longest, len(b.ReportText(s)))
+		}
+	}
 	c := new(cas.CAS)
+	concepts := 0
+	if t.Model == kb.BagOfConcepts {
+		concepts = longest/bytesPerConcept + 1
+	}
+	c.Grow(longest/bytesPerToken+1, concepts)
 	for _, set := range sets {
 		for _, s := range set {
 			text := b.ReportText(s)
@@ -173,6 +185,17 @@ func (t *Toolkit) FeatureSets(b *bundle.Bundle, sets ...[]bundle.Source) ([][]st
 	}
 	return out, nil
 }
+
+// bytesPerToken and bytesPerConcept size FeatureSets' layers from its
+// longest report. Over the 36,607 training-phase reports of the generated
+// paper-scale corpus (seed 1), a report runs 8.1 bytes per token and 31
+// per concept mention, and no report holds more tokens than one per 6.3
+// bytes of its bundle's longest report, or more mentions than one per
+// 10.6. A report that holds more grows the layer by appending.
+const (
+	bytesPerToken   = 6
+	bytesPerConcept = 10
+)
 
 // report is the features of one analysed report.
 type report struct {

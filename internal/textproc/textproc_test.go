@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 
 	"repro/internal/cas"
 )
@@ -47,6 +48,21 @@ func TestTokensNumbers(t *testing.T) {
 	want := []string{"id", "test470", "error", "b2", "at", "12", "5v"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tokens = %v", got)
+	}
+}
+
+// TestASCIIWordTable: the tokenizer's byte table agrees with isWordRune
+// on each of the 128 ASCII bytes, and wordAt classifies a one-byte text
+// through it.
+func TestASCIIWordTable(t *testing.T) {
+	for b := 0; b < utf8.RuneSelf; b++ {
+		want := isWordRune(rune(b))
+		if asciiWord[b] != want {
+			t.Errorf("asciiWord[%#02x] = %v, want %v", b, asciiWord[b], want)
+		}
+		if word, size := wordAt(string(rune(b)), 0); word != want || size != 1 {
+			t.Errorf("wordAt(%q) = %v, %d; want %v, 1", rune(b), word, size, want)
+		}
 	}
 }
 

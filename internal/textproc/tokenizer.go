@@ -72,11 +72,25 @@ func nextToken(text string, i int) (begin, end int) {
 }
 
 // wordAt reports whether text[i:] starts with a word rune, and that
-// rune's size; at the end of text it reports false.
+// rune's size; at the end of text it reports false. An ASCII byte is
+// classified through asciiWord; only a byte from 0x80 up is decoded.
 func wordAt(text string, i int) (bool, int) {
+	if i < len(text) && text[i] < utf8.RuneSelf {
+		return asciiWord[text[i]], 1
+	}
 	r, size := utf8.DecodeRuneInString(text[i:])
 	return isWordRune(r), size
 }
+
+// asciiWord holds isWordRune of every ASCII byte. Nearly all report text
+// is ASCII, so the scan seldom decodes a rune or reaches the Unicode
+// tables.
+var asciiWord = func() (t [utf8.RuneSelf]bool) {
+	for b := range t {
+		t[b] = isWordRune(rune(b))
+	}
+	return t
+}()
 
 // Tokens returns the lowercased token strings of text in document order.
 func Tokens(text string) []string {
